@@ -14,15 +14,11 @@ import sys
 from pathlib import Path
 
 from reuleaux import cheeger_set, profile, random_polygon, regular
-from reuleaux.cli import _svg_document
-from reuleaux.polygon import as_region
+from reuleaux.cli import _svg_overlay
 
 
 def overlay(poly) -> str:
-    sol = cheeger_set(poly)
-    return _svg_document([(as_region(poly), "#000000"),
-                          (sol.inner, "#1f77b4"),
-                          (sol.cheeger_set, "#d62728")])
+    return _svg_overlay(poly, cheeger_set(poly))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -37,8 +33,7 @@ def main(argv: list[str] | None = None) -> int:
         "triangle.svg": overlay(regular(1)),
         "pentagon.svg": overlay(regular(2)),
         "perturbed.svg": overlay(random_polygon(3, 40, seed=21)),
-        "minarea_0.45.svg": _svg_document(
-            [(as_region(profile(0.45).polygon), "#000000")]),
+        "minarea_0.45.svg": _svg_overlay(profile(0.45).polygon),
     }
     for name, svg in figures.items():
         (outdir / name).write_text(svg, encoding="utf-8")

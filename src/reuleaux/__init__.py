@@ -4,8 +4,7 @@ from __future__ import annotations
 from .arcs import (ArcRegion, CircArc, EmptyIntersectionError, GeometryError,
                    Point, RegionValidationError, area, disk_intersection,
                    min_enclosing_circle, minkowski_disk_sum, perimeter,
-                   region_dumps, region_from_json, region_loads,
-                   region_to_json)
+                   region_from_json, region_to_json)
 from .blaschke import (ArcCollapseError, AuxParams, DeformationTrajectory,
                        InvalidDeformation, TrajectoryStep, aux_F, aux_G, aux_H,
                        aux_U, deform, local_maximize, normal_speed,
@@ -30,31 +29,3 @@ from .polygon import (ContactDeficitError, DegenerateSectorError,
                       sectors)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArcRegion", "CircArc", "Point", "GeometryError",
-    "RegionValidationError", "EmptyIntersectionError", "area", "perimeter",
-    "disk_intersection", "minkowski_disk_sum", "min_enclosing_circle",
-    "region_to_json", "region_from_json", "region_dumps", "region_loads",
-    "ReuleauxPolygon", "InvalidPolygon", "ContactDeficitError",
-    "DegenerateSectorError", "Sector", "as_region", "regular",
-    "from_vertices", "random_polygon", "contact_points", "sectors",
-    "inradius_from_sector", "sector_length_lower_bound",
-    "polygon_to_json", "polygon_from_json", "polygon_csv",
-    "CheegerSolution", "EmptyContactError", "bisect_root",
-    "cheeger_radius", "cheeger_set", "inner_parallel", "contact_angles",
-    "triangle_closed_form", "triangle_inner_area", "disk_cheeger_radius",
-    "upper_bounds",
-    "AuxParams", "InvalidDeformation", "ArcCollapseError", "deform",
-    "normal_speed", "shape_derivative", "shape_derivative_flagged",
-    "optimality_residual", "residual_norm", "aux_U", "aux_G", "aux_F",
-    "aux_H", "local_maximize", "TrajectoryStep", "DeformationTrajectory",
-    "trajectory_csv",
-    "BoundsRow", "EndgameItem", "tau_of_h", "hmax_of_tau", "table_row",
-    "table1", "table1_check", "table1_csv", "inradius_lower_bound",
-    "minr_worstcase", "pentagon_inradius_floor", "many_arc_inradius_floor",
-    "lastestimate", "F2", "f2_argmax", "endgame_checks",
-    "MinAreaShape", "ell", "regular_inradius", "band_of", "min_area",
-    "min_area_inverse", "profile", "profile_csv",
-    "__version__",
-]

@@ -7,7 +7,6 @@ closed chain of ccw circular arcs.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -15,6 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 TAU = 2.0 * math.pi
+SQRT3 = math.sqrt(3.0)
 
 # Chain endpoints must meet within this Euclidean distance.
 CLOSURE_TOL = 1e-9
@@ -361,14 +361,6 @@ def region_from_json(data: dict) -> ArcRegion:
                          float(d["start"]), float(d["sweep"]))
                  for d in data["arcs"])
     return ArcRegion(arcs=arcs)
-
-
-def region_dumps(region: ArcRegion) -> str:
-    return json.dumps(region_to_json(region), indent=2)
-
-
-def region_loads(text: str) -> ArcRegion:
-    return region_from_json(json.loads(text))
 
 
 def svg_path_data(region: ArcRegion, scale: float, ox: float, oy: float) -> str:

@@ -11,12 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .arcs import GeometryError, TAU, area
 from .cheeger import CheegerSolution, cheeger_radius, cheeger_set
-from .polygon import (InvalidPolygon, MIN_ARC, ReuleauxPolygon, _angles_of,
-                      _slide_vertex, from_vertices)
+from .polygon import (InvalidPolygon, MIN_ARC, ReuleauxPolygon, _canonical,
+                      _check_vertices, _slide_vertex)
 
 
 class InvalidDeformation(ValueError):
@@ -102,10 +100,9 @@ def deform(poly: ReuleauxPolygon, k: int, eps: float) -> ReuleauxPolygon:
         verts = _slide_vertex(poly.vertices, k, eps)
     except GeometryError as exc:
         raise ArcCollapseError(str(exc)) from exc
-    _, _, new_js = _angles_of(verts)
-    if np.any(new_js <= 1e-12) or abs(new_js.sum() - math.pi) > 1e-9:
-        raise ArcCollapseError("move collapses an arc")
-    return from_vertices(verts)
+    cand = _canonical(verts)
+    _check_vertices(cand.vertices, cand.arc_lengths, 1e-12, ArcCollapseError)
+    return cand
 
 
 def normal_speed(poly: ReuleauxPolygon, k: int, arc: int, s: float) -> float:

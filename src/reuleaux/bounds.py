@@ -18,8 +18,6 @@ from dataclasses import dataclass
 # consecutive arc lengths of a critical polygon, h = its largest arc length.
 RATE_INTERCEPT = 0.99
 RATE_CURVATURE = 0.05
-# crude unconditional floor for the same ratio, any critical polygon
-CONSECUTIVE_RATIO_FLOOR = 0.1339
 
 # admissible window for the Cheeger radius of a maximizer:
 # half the triangle inradius from below, the triangle Cheeger radius above

@@ -12,11 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .arcs import (ArcRegion, CircArc, GeometryError, Point, TAU, _wrap,
-                   area, disk_intersection, minkowski_disk_sum, perimeter)
+from .arcs import (SQRT3, TAU, ArcRegion, CircArc, GeometryError, Point,
+                   _wrap, area, disk_intersection, minkowski_disk_sum,
+                   perimeter)
 from .polygon import ReuleauxPolygon
-
-SQRT3 = math.sqrt(3.0)
 
 
 class EmptyContactError(GeometryError):

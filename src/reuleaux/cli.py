@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
-from .arcs import ArcRegion, GeometryError, svg_path_data
+from .arcs import GeometryError, svg_path_data
 from .blaschke import local_maximize, trajectory_csv
 from .bounds import table1, table1_check, table1_csv
-from .cheeger import cheeger_set
+from .cheeger import CheegerSolution, cheeger_set
 from .polygon import (InvalidPolygon, ReuleauxPolygon, as_region,
                       polygon_from_json, random_polygon, regular)
 from .verify import CHECKS, run_checks
@@ -51,7 +52,13 @@ class SystemExit2(Exception):
     """Input or validation problem; the CLI maps it to exit code 2."""
 
 
-def _svg_document(layers: list[tuple[ArcRegion, str]]) -> str:
+def _svg_overlay(poly: ReuleauxPolygon,
+                 sol: CheegerSolution | None = None) -> str:
+    """SVG of the body and, given its Cheeger solution, its inner parallel
+    body and Cheeger set."""
+    layers = [(as_region(poly), "#000000")]
+    if sol is not None:
+        layers += [(sol.inner, "#1f77b4"), (sol.cheeger_set, "#d62728")]
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'viewBox="0 0 {SVG_SIZE:.0f} {SVG_SIZE:.0f}">']
     for region, color in layers:
@@ -66,11 +73,8 @@ def cmd_cheeger(args) -> int:
     poly = _load_polygon(args)
     sol = cheeger_set(poly, tol=args.tol)
     if args.svg:
-        layers = [(as_region(poly), "#000000"),
-                  (sol.inner, "#1f77b4"),
-                  (sol.cheeger_set, "#d62728")]
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_svg_document(layers))
+            fh.write(_svg_overlay(poly, sol))
     payload = {"R": sol.R, "h": sol.h,
                "contacts": [[l, lo, hi] for l, lo, hi in sol.contacts]}
     if args.format == "json":
@@ -81,10 +85,7 @@ def cmd_cheeger(args) -> int:
             lines.append(f"contact,{l},{lo!r},{hi!r}")
         print("\n".join(lines))
     else:  # svg to stdout
-        layers = [(as_region(poly), "#000000"),
-                  (sol.inner, "#1f77b4"),
-                  (sol.cheeger_set, "#d62728")]
-        print(_svg_document(layers), end="")
+        print(_svg_overlay(poly, sol), end="")
     return 0
 
 
@@ -144,6 +145,13 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def _add_polygon_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--regular", type=int, metavar="N",
                    help="regular polygon with 2N+1 arcs")
@@ -162,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cheeger", help="solve the Cheeger problem for one polygon")
     _add_polygon_options(p)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
     p.add_argument("--format", choices=("json", "csv", "svg"), default="json")
     p.add_argument("--svg", metavar="FILE",
                    help="also write an SVG overlay (body, inner set, Cheeger set)")

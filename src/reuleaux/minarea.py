@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arcs import GeometryError
+from .arcs import SQRT3, GeometryError
+from .cheeger import bisect_root
 from .polygon import ReuleauxPolygon, from_vertices, regular
 
-SQRT3 = math.sqrt(3.0)
 R_TRIANGLE = 1.0 - 1.0 / SQRT3
 
 
@@ -86,19 +86,12 @@ def min_area(r: float, tol: float = 1e-12) -> float:
 
 def min_area_inverse(target: float, tol: float = 1e-12) -> float:
     """The inradius whose minimal area equals target (bisection; A is increasing)."""
-    lo, hi = R_TRIANGLE, 0.5
-    a_lo, a_hi = min_area(lo), math.pi / 4.0
-    if not a_lo - tol <= target < a_hi:
-        raise GeometryError(f"area {target} outside [{a_lo}, {a_hi})")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid in (lo, hi):
-            break
-        if min_area(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    a_lo = min_area(R_TRIANGLE)
+    if not a_lo - tol <= target < math.pi / 4.0:
+        raise GeometryError(f"area {target} outside [{a_lo}, {math.pi / 4.0})")
+    if target <= a_lo:
+        return R_TRIANGLE
+    return bisect_root(lambda r: min_area(r) - target, R_TRIANGLE, 0.5, tol)
 
 
 @dataclass(frozen=True)

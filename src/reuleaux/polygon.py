@@ -47,16 +47,63 @@ class DegenerateSectorError(GeometryError):
 
 
 def _angles_of(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = len(verts)
-    alphas = np.empty(n)
-    betas = np.empty(n)
-    for k in range(n):
-        nxt = verts[(k + 1) % n] - verts[k]
-        prv = verts[(k - 1) % n] - verts[k]
-        alphas[k] = math.atan2(nxt[1], nxt[0])
-        betas[k] = math.atan2(prv[1], prv[0])
+    # math.atan2, not np.arctan2: the two differ in the last bit on some
+    # inputs, which would move arc lengths, contacts and ascent trajectories
+    nxt = (np.roll(verts, -1, axis=0) - verts).tolist()
+    prv = (np.roll(verts, 1, axis=0) - verts).tolist()
+    alphas = np.array([math.atan2(y, x) for x, y in nxt])
+    betas = np.array([math.atan2(y, x) for x, y in prv])
     js = np.mod(betas - alphas, TAU)
     return alphas, betas, js
+
+
+# rows per pass of the pairwise width test: one pass up to this many
+# vertices, bounded memory beyond
+_WIDTH_BLOCK = 64
+
+
+def _far_pair(verts: np.ndarray) -> tuple[int, int, float] | None:
+    """The first pair (i < j) further apart than 1 + WIDTH_TOL, or None."""
+    n = len(verts)
+    for lo in range(0, n, _WIDTH_BLOCK):
+        rows = verts[lo:lo + _WIDTH_BLOCK]
+        d = np.hypot(rows[:, None, 0] - verts[None, lo:, 0],
+                     rows[:, None, 1] - verts[None, lo:, 1])
+        far = d > 1.0 + WIDTH_TOL
+        if far.any():
+            # the first row-major hit has j > i: a hit left of the diagonal
+            # would mirror one in an earlier row
+            r, c = np.unravel_index(np.argmax(far), far.shape)
+            return lo + int(r), lo + int(c), float(d[r, c])
+    return None
+
+
+def _check_vertices(verts: np.ndarray, js: np.ndarray, min_arc: float,
+                    arc_error: type[Exception] = AdjacencyError) -> None:
+    """Raise unless verts, with arc lengths js, is a width-one Reuleaux polygon.
+
+    Three tests, cheapest first: index-neighbours at unit distance
+    (AdjacencyError), arc lengths in (min_arc, pi) summing to pi (arc_error,
+    AdjacencyError by default), no pair further than 1 apart (WidthError).
+    """
+    n = len(verts)
+    gaps = np.hypot(*(np.roll(verts, -1, axis=0) - verts).T)
+    off = np.abs(gaps - 1.0) > WIDTH_TOL
+    if off.any():
+        k = int(np.argmax(off))
+        raise AdjacencyError(f"vertices {k} and {(k + 1) % n} at distance "
+                             f"{float(gaps[k])!r}, expected 1")
+    if js.min() <= min_arc or js.max() >= math.pi:
+        if js.min() > math.pi:
+            raise arc_error("vertices are in clockwise order; "
+                            "list them counterclockwise")
+        raise arc_error(f"arc lengths outside ({min_arc:g}, pi)")
+    if abs(js.sum() - math.pi) > WIDTH_TOL:
+        raise arc_error(f"arc lengths sum to {float(js.sum())!r}, expected pi")
+    far = _far_pair(verts)
+    if far is not None:
+        raise WidthError(f"vertices {far[0]} and {far[1]} at distance "
+                         f"{far[2]!r} > 1")
 
 
 @dataclass(frozen=True)
@@ -82,41 +129,42 @@ class ReuleauxPolygon:
         return Point(v[0], v[1])
 
 
+def _canonical(verts: np.ndarray) -> ReuleauxPolygon:
+    # the polygon moved so its incenter (the centre of its minimal enclosing
+    # circle) is the origin; does not check the vertices
+    center, mec_r = min_enclosing_circle(verts)
+    verts = verts - np.array([center.x, center.y])
+    alphas, betas, js = _angles_of(verts)
+    for arr in (verts, alphas, betas, js):
+        arr.setflags(write=False)
+    return ReuleauxPolygon(vertices=verts, alphas=alphas, betas=betas,
+                           arc_lengths=js, inradius=1.0 - mec_r)
+
+
 def from_vertices(points) -> ReuleauxPolygon:
     """Validate a vertex list and build the canonical polygon.
 
-    Distinct failures raise distinct errors: VertexCountError (even or too
-    few vertices), AdjacencyError (index-neighbors not at unit distance, or
-    arc structure broken), WidthError (some pair further than 1 apart).
+    This is where outside vertex input is checked. Distinct failures raise
+    distinct errors: InvalidPolygon (not a list of finite [x, y] number
+    pairs), VertexCountError (even or too few vertices), AdjacencyError
+    (index-neighbours not at unit distance, clockwise order, or arc
+    structure broken), WidthError (some pair further than 1 apart).
     """
-    verts = np.atleast_2d(np.asarray([list(p) for p in points], dtype=float))
+    try:
+        verts = np.asarray(points)
+    except ValueError as exc:  # ragged nesting
+        raise InvalidPolygon(f"vertices must be [x, y] number pairs: {exc}") from None
+    if verts.dtype.kind not in "iuf" or verts.ndim != 2 or verts.shape[1] != 2:
+        raise InvalidPolygon("vertices must be a list of [x, y] number pairs")
+    verts = verts.astype(float, copy=False)
     n = len(verts)
     if n < 3 or n % 2 == 0:
         raise VertexCountError(f"need an odd number >= 3 of vertices, got {n}")
     if not np.all(np.isfinite(verts)):
         raise InvalidPolygon("non-finite vertex coordinates")
-    for k in range(n):
-        d = np.linalg.norm(verts[(k + 1) % n] - verts[k])
-        if abs(d - 1.0) > WIDTH_TOL:
-            raise AdjacencyError(
-                f"vertices {k} and {(k + 1) % n} at distance {d!r}, expected 1")
-    for i, j in combinations(range(n), 2):
-        d = np.linalg.norm(verts[i] - verts[j])
-        if d > 1.0 + WIDTH_TOL:
-            raise WidthError(f"vertices {i} and {j} at distance {d!r} > 1")
-    alphas, betas, js = _angles_of(verts)
-    if np.any(js <= 0.0) or np.any(js >= math.pi):
-        raise AdjacencyError("arc lengths outside (0, pi)")
-    if abs(js.sum() - math.pi) > WIDTH_TOL:
-        raise AdjacencyError(f"arc lengths sum to {js.sum()!r}, expected pi")
-    center, mec_r = min_enclosing_circle(verts)
-    verts = verts - np.array([center.x, center.y])
-    alphas, betas, js = _angles_of(verts)
-    verts.setflags(write=False)
-    for arr in (alphas, betas, js):
-        arr.setflags(write=False)
-    return ReuleauxPolygon(vertices=verts, alphas=alphas, betas=betas,
-                           arc_lengths=js, inradius=1.0 - mec_r)
+    poly = _canonical(verts)
+    _check_vertices(poly.vertices, poly.arc_lengths, 0.0)
+    return poly
 
 
 def regular(N: int) -> ReuleauxPolygon:
@@ -164,17 +212,6 @@ def _slide_vertex(verts: np.ndarray, k: int, eps: float) -> np.ndarray:
     return out
 
 
-def _walk_valid(verts: np.ndarray, min_arc: float = MIN_ARC) -> bool:
-    # validity of a random-walk candidate: positive fat arcs, closure, width
-    _, _, js = _angles_of(verts)
-    if js.min() <= min_arc or abs(js.sum() - math.pi) > WIDTH_TOL:
-        return False
-    for i, j in combinations(range(len(verts)), 2):
-        if np.linalg.norm(verts[i] - verts[j]) > 1.0 + WIDTH_TOL:
-            return False
-    return True
-
-
 def random_polygon(N: int, steps: int, seed: int) -> ReuleauxPolygon:
     """Random Blaschke walk from regular(N); deterministic in the seed.
 
@@ -193,11 +230,11 @@ def random_polygon(N: int, steps: int, seed: int) -> ReuleauxPolygon:
         eps = float(rng.uniform(-0.02, 0.02))
         try:
             cand = _slide_vertex(verts, k, eps)
-        except GeometryError:
+            _check_vertices(cand, _angles_of(cand)[2], MIN_ARC)
+        except (GeometryError, InvalidPolygon):
             continue
-        if _walk_valid(cand):
-            verts = cand
-    return from_vertices(verts)
+        verts = cand
+    return _canonical(verts)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +392,8 @@ def polygon_to_json(poly: ReuleauxPolygon) -> dict:
 
 
 def polygon_from_json(data: dict) -> ReuleauxPolygon:
-    if "vertices" not in data:
-        raise InvalidPolygon("polygon JSON needs a 'vertices' key")
+    if not isinstance(data, dict) or "vertices" not in data:
+        raise InvalidPolygon("polygon JSON needs an object with a 'vertices' key")
     return from_vertices(data["vertices"])
 
 

@@ -16,14 +16,13 @@ from typing import Callable
 import numpy as np
 
 from . import blaschke, bounds, cheeger, minarea, polygon
-from .arcs import area, disk_intersection, minkowski_disk_sum, perimeter
+from .arcs import (SQRT3, area, disk_intersection, minkowski_disk_sum,
+                   perimeter)
 from .bounds import (COEFF_BAND, F2, F2_ARGMAX_WINDOW, F2_MAX_CAP,
                      H_TRIANGLE_FLOOR, INRADIUS_CAP, INRADIUS_FLOOR, R_BAND,
                      R_TRIANGLE_WINDOW, SECTOR_BAND, U_CUBIC_LOWER,
                      U_CUBIC_UPPER)
 from .polygon import as_region, regular, random_polygon, sectors
-
-SQRT3 = math.sqrt(3.0)
 
 
 @dataclass
@@ -144,7 +143,7 @@ def check_table1() -> CheckResult:
 def check_radius_window() -> CheckResult:
     t0 = time.perf_counter()
     c = _Collector()
-    r_tri = 1.0 - 1.0 / SQRT3
+    r_tri = minarea.R_TRIANGLE
     r0 = minarea.min_area_inverse(math.pi / H_TRIANGLE_FLOOR)
     c.expect(INRADIUS_FLOOR <= r0 < INRADIUS_CAP,
              f"inverse minimal area at pi/{H_TRIANGLE_FLOOR}: {r0!r} "
@@ -169,7 +168,7 @@ def check_sector() -> CheckResult:
     u_max = math.pi - 2.0 * u_lb
     c.expect(u_max <= SECTOR_BAND[1],
              f"largest sector pi - 2*floor = {u_max!r} <= {SECTOR_BAND[1]}")
-    grid = np.linspace(1.0 - 1.0 / SQRT3, INRADIUS_CAP, 64)
+    grid = np.linspace(minarea.R_TRIANGLE, INRADIUS_CAP, 64)
     vals = [polygon.sector_length_lower_bound(float(r)) for r in grid]
     c.expect(all(b < a + 1e-12 for a, b in zip(vals, vals[1:])),
              "floor decreasing in r on the admissible range")

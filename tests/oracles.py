@@ -108,3 +108,42 @@ def golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
 
 def central_fd(f, x: float, eps: float) -> float:
     return (f(x + eps) - f(x - eps)) / (2.0 * eps)
+
+
+def far_pairs(vertices, tol: float = 1e-9) -> list[tuple[int, int]]:
+    """Every pair (i < j) of vertices further apart than 1 + tol, in order."""
+    pts = [(float(x), float(y)) for x, y in vertices]
+    return [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
+            if math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
+            > 1.0 + tol]
+
+
+def reuleaux_faults(vertices, min_arc: float = 0.0,
+                    tol: float = 1e-9) -> set[str]:
+    """Which conditions of a width-one Reuleaux vertex set fail.
+
+    "adjacent": index-neighbours not at unit distance. "arcs": the angle at
+    some vertex, counterclockwise from its next to its previous neighbour,
+    is not in (min_arc, pi), or these angles do not sum to pi. "width": some
+    pair further than 1 apart. Each angle comes from one atan2 of the cross
+    and dot products, not from a difference of two directions.
+    """
+    pts = [(float(x), float(y)) for x, y in vertices]
+    n = len(pts)
+    faults = set()
+    total = 0.0
+    for k in range(n):
+        px, py = pts[k]
+        ux, uy = pts[(k + 1) % n][0] - px, pts[(k + 1) % n][1] - py
+        vx, vy = pts[(k - 1) % n][0] - px, pts[(k - 1) % n][1] - py
+        if abs(math.hypot(ux, uy) - 1.0) > tol:
+            faults.add("adjacent")
+        angle = math.atan2(ux * vy - uy * vx, ux * vx + uy * vy) % (2 * math.pi)
+        if not min_arc < angle < math.pi:
+            faults.add("arcs")
+        total += angle
+    if abs(total - math.pi) > tol:
+        faults.add("arcs")
+    if far_pairs(pts, tol):
+        faults.add("width")
+    return faults

@@ -5,6 +5,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from reuleaux import regular
+
 CLI = [sys.executable, "-m", "reuleaux.cli"]
 
 
@@ -74,6 +78,33 @@ class TestCheeger:
     def test_no_source_exits_2(self):
         res = run("cheeger")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("data,needle", [
+        ({"vertices": [["a", 0]]}, "number pairs"),
+        ({"vertices": 5}, "number pairs"),
+        ({"vertices": None}, "number pairs"),
+        ({"vertices": [[0, 0], [1, 0], [0.5]]}, "number pairs"),
+        ({"vertices": [[1], [2], [3]]}, "number pairs"),
+        ([[0, 0], [1, 0], [0.5, 0.8]], "'vertices'"),
+        (5, "'vertices'"),
+        ({"vertices": regular(2).vertices[::-1].tolist()}, "clockwise"),
+        ({"vertices": (0.9 * regular(1).vertices).tolist()}, "at distance"),
+    ])
+    def test_malformed_vertices_exit_2(self, tmp_path, data, needle):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(data))
+        res = run("cheeger", "--input", str(f))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert needle in res.stderr
+        assert "np.float64" not in res.stderr
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "abc"])
+    def test_bad_tolerance_exits_2(self, tol):
+        res = run("cheeger", "--regular", "1", "--tol", tol)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
 
 
 class TestTable1:

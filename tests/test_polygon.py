@@ -84,6 +84,10 @@ class TestFromVertices:
         with pytest.raises((AdjacencyError, WidthError)):
             from_vertices(v)
 
+    def test_clockwise_rejected(self):
+        with pytest.raises(AdjacencyError, match="clockwise"):
+            from_vertices(regular(2).vertices[::-1])
+
     def test_json_round_trip(self):
         p = random_polygon(3, 25, seed=12)
         q = polygon_from_json(polygon_to_json(p))

@@ -4,14 +4,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_mec
-from reuleaux import (area, cheeger_set, from_vertices, min_enclosing_circle,
-                      minkowski_disk_sum, perimeter, random_polygon,
-                      upper_bounds)
-from reuleaux.polygon import as_region
+from oracles import brute_mec, far_pairs, reuleaux_faults
+from reuleaux import (GeometryError, InvalidPolygon, area, cheeger_set,
+                      from_vertices, min_enclosing_circle, minkowski_disk_sum,
+                      perimeter, random_polygon, regular, upper_bounds)
+from reuleaux.polygon import (MIN_ARC, WidthError, _angles_of,
+                              _check_vertices, _far_pair, _slide_vertex,
+                              as_region)
 
 polys = st.builds(random_polygon,
                   N=st.integers(min_value=1, max_value=5),
@@ -82,3 +85,69 @@ def test_steiner_formula(p, rho):
     grown = minkowski_disk_sum(region, rho)
     want = area(region) + rho * perimeter(region) + math.pi * rho * rho
     assert abs(area(grown) - want) < 1e-9
+
+
+def _check_outcome(call) -> InvalidPolygon | None:
+    try:
+        call()
+    except InvalidPolygon as exc:
+        return exc
+    return None
+
+
+def _agrees(err: InvalidPolygon | None, faults: set[str]) -> bool:
+    if err is None:
+        return not faults
+    if isinstance(err, WidthError):
+        return "width" in faults
+    return bool(faults & {"adjacent", "arcs"})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(random_polygon, N=st.integers(min_value=2, max_value=6),
+                 steps=st.integers(min_value=0, max_value=40),
+                 seed=st.integers(min_value=0, max_value=10_000)),
+       st.sampled_from(["none", "push", "shrink", "reverse"]),
+       st.integers(min_value=0), st.floats(min_value=1e-3, max_value=0.2))
+def test_vertex_check_matches_reference(p, how, i, push):
+    # one vertex pushed outward, one arc shrunk below MIN_ARC by a Blaschke
+    # slide, or the order reversed; the library's one vertex check must agree
+    # with the naive pairwise definition, both as from_vertices (no arc
+    # floor) and as the random walk calls it (arcs above MIN_ARC)
+    v = np.array(p.vertices)
+    k = i % p.n
+    if how == "push":
+        v[k] *= 1.0 + push
+    elif how == "shrink":
+        eps = p.arc_lengths[(k - 1) % p.n] - 0.5 * MIN_ARC
+        try:
+            v = _slide_vertex(v, k, eps)
+        except GeometryError:
+            assume(False)
+    elif how == "reverse":
+        v = v[::-1]
+    js = _angles_of(v)[2]
+    for min_arc, call in ((0.0, lambda: from_vertices(v)),
+                          (MIN_ARC, lambda: _check_vertices(v, js, MIN_ARC))):
+        err = _check_outcome(call)
+        assert _agrees(err, reuleaux_faults(v, min_arc)), (how, min_arc, err)
+    if how == "reverse":
+        assert "clockwise" in str(_check_outcome(lambda: from_vertices(v)))
+    far = _far_pair(v)
+    want = far_pairs(v)
+    assert (far is None) == (not want)
+    if far is not None:
+        assert far[:2] == want[0]
+
+
+@pytest.mark.parametrize("k,push", [(70, 1.05), (72, 1.02)])
+def test_width_test_finds_non_adjacent_pairs_across_blocks(k, push):
+    # n = 81 is more than one row block of the width test. Pushing vertex 70
+    # by 5% puts it beyond 1 of vertex 0, a hit in the first block; pushing
+    # vertex 72 by 2% gives far pairs within vertices 65..79 only, which
+    # only the second block sees
+    v = np.array(regular(40).vertices)
+    v[k] *= push
+    want = far_pairs(v)
+    assert any((j - i) % 81 not in (1, 80) for i, j in want)
+    assert _far_pair(v)[:2] == want[0]
