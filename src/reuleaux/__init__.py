@@ -9,7 +9,7 @@ from .blaschke import (ArcCollapseError, AuxParams, DeformationTrajectory,
                        InvalidDeformation, TrajectoryStep, aux_F, aux_G, aux_H,
                        aux_U, deform, local_maximize, normal_speed,
                        optimality_residual, residual_norm, shape_derivative,
-                       shape_derivative_flagged, trajectory_csv)
+                       trajectory_csv)
 from .bounds import (BoundsRow, EndgameItem, endgame_checks, f2_argmax, F2,
                      hmax_of_tau, inradius_lower_bound, lastestimate,
                      many_arc_inradius_floor, minr_worstcase,

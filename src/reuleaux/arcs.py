@@ -3,7 +3,8 @@
 Everything downstream (Reuleaux polygons, inner parallel bodies, Cheeger sets)
 is an intersection of equal-radius disks or a disk Minkowski sum of one, so
 this module only has to be correct for convex regions whose boundary is a
-closed chain of ccw circular arcs.
+closed chain of ccw circular arcs. Point, CircArc and ArcRegion do not check
+themselves: regions from outside are checked once, by region_from_json.
 """
 from __future__ import annotations
 
@@ -49,17 +50,6 @@ class Point:
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise GeometryError(f"non-finite point ({self.x}, {self.y})")
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 @dataclass(frozen=True)
 class CircArc:
@@ -69,14 +59,6 @@ class CircArc:
     radius: float
     start: float
     sweep: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise GeometryError(f"arc radius must be positive, got {self.radius}")
-        if not math.isfinite(self.start):
-            raise GeometryError("non-finite arc start angle")
-        if not (0.0 < self.sweep <= TAU + 1e-12):
-            raise GeometryError(f"arc sweep must lie in (0, 2pi], got {self.sweep}")
 
     @property
     def end(self) -> float:
@@ -108,31 +90,6 @@ class ArcRegion:
 
     arcs: tuple[CircArc, ...]
     point: Point | None = None
-
-    def __post_init__(self) -> None:
-        if self.point is not None:
-            if self.arcs:
-                raise RegionValidationError("degenerate region must have no arcs")
-            return
-        if not self.arcs:
-            raise RegionValidationError("region needs arcs or a designated point")
-        n = len(self.arcs)
-        turning = 0.0
-        for i, arc in enumerate(self.arcs):
-            nxt = self.arcs[(i + 1) % n]
-            e, s = arc.end_point, nxt.start_point
-            gap = math.hypot(e.x - s.x, e.y - s.y)
-            if gap > CLOSURE_TOL:
-                raise RegionValidationError(
-                    f"chain broken between arc {i} and {(i + 1) % n}: gap {gap:.3e}")
-            turn = _wrap(nxt.start - arc.end)
-            if turn < -1e-9:
-                raise RegionValidationError(
-                    f"reflex corner after arc {i}: turn {turn:.3e}")
-            turning += arc.sweep + turn
-        if abs(turning - TAU) > 1e-9:
-            raise RegionValidationError(
-                f"total tangent turning {turning!r} != 2pi")
 
     @classmethod
     def degenerate(cls, point: Point) -> "ArcRegion":
@@ -238,6 +195,8 @@ def min_enclosing_circle(points: Iterable) -> tuple[Point, float]:
     pts = [(float(p[0]), float(p[1])) for p in points]
     if not pts:
         raise GeometryError("need at least one point")
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
+        raise GeometryError("non-finite point")
     c = None
     for i, p in enumerate(pts):
         if c is None or not _in_circle(c, p):
@@ -256,11 +215,13 @@ def disk_intersection(centers: Iterable, radius: float) -> ArcRegion:
     Each circle contributes at most one arc; the surviving angular interval
     is found by clipping against every other disk in turn.
     """
-    if radius <= 0.0:
-        raise GeometryError("radius must be positive")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise GeometryError(f"radius must be finite and positive, got {radius}")
     raw = np.atleast_2d(np.asarray(list(centers), dtype=float))
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise GeometryError("centers must be an (n, 2) array")
+    if not np.isfinite(raw).all():
+        raise GeometryError("non-finite disk center")
     # drop duplicate centers: identical disks impose no extra constraint
     cs: list[np.ndarray] = []
     for row in raw:
@@ -323,8 +284,8 @@ def minkowski_disk_sum(region: ArcRegion, rho: float) -> ArcRegion:
     Boundary arcs move outward by rho; each convex corner grows a fillet arc
     centered at the corner. Corner turns below 1e-12 are treated as smooth.
     """
-    if rho < 0.0:
-        raise GeometryError("rho must be nonnegative")
+    if not (math.isfinite(rho) and rho >= 0.0):
+        raise GeometryError(f"rho must be finite and nonnegative, got {rho}")
     if rho == 0.0:
         return region
     if region.is_degenerate:
@@ -351,16 +312,59 @@ def region_to_json(region: ArcRegion) -> dict:
                       "start": a.start, "sweep": a.sweep} for a in region.arcs]}
 
 
+def _check_region(region: ArcRegion) -> None:
+    """Raise unless region is a finite point or a closed convex ccw arc chain:
+    GeometryError for a bad number, RegionValidationError for a bad chain."""
+    if region.is_degenerate:
+        p = region.point
+        if not (math.isfinite(p.x) and math.isfinite(p.y)):
+            raise GeometryError(f"non-finite point ({p.x}, {p.y})")
+        return
+    for arc in region.arcs:
+        c = arc.center
+        if not (math.isfinite(c.x) and math.isfinite(c.y)):
+            raise GeometryError(f"non-finite point ({c.x}, {c.y})")
+        if not (math.isfinite(arc.radius) and arc.radius > 0.0):
+            raise GeometryError(f"arc radius must be positive, got {arc.radius}")
+        if not math.isfinite(arc.start):
+            raise GeometryError("non-finite arc start angle")
+        if not (0.0 < arc.sweep <= TAU + 1e-12):
+            raise GeometryError(f"arc sweep must lie in (0, 2pi], got {arc.sweep}")
+    n = len(region.arcs)
+    turning = 0.0
+    for i, arc in enumerate(region.arcs):
+        nxt = region.arcs[(i + 1) % n]
+        e, s = arc.end_point, nxt.start_point
+        gap = math.hypot(e.x - s.x, e.y - s.y)
+        if gap > CLOSURE_TOL:
+            raise RegionValidationError(
+                f"chain broken between arc {i} and {(i + 1) % n}: gap {gap:.3e}")
+        turn = _wrap(nxt.start - arc.end)
+        if turn < -1e-9:
+            raise RegionValidationError(
+                f"reflex corner after arc {i}: turn {turn:.3e}")
+        turning += arc.sweep + turn
+    if abs(turning - TAU) > 1e-9:
+        raise RegionValidationError(
+            f"total tangent turning {turning!r} != 2pi")
+
+
 def region_from_json(data: dict) -> ArcRegion:
-    if not data.get("arcs"):
-        pt = data.get("point")
-        if pt is None:
-            raise RegionValidationError("JSON region has neither arcs nor point")
-        return ArcRegion.degenerate(Point(float(pt[0]), float(pt[1])))
-    arcs = tuple(CircArc(Point(float(d["cx"]), float(d["cy"])), float(d["r"]),
-                         float(d["start"]), float(d["sweep"]))
-                 for d in data["arcs"])
-    return ArcRegion(arcs=arcs)
+    """Read and check a region written by region_to_json: where regions
+    enter from outside. Malformed JSON raises RegionValidationError."""
+    try:
+        if data.get("arcs"):
+            region = ArcRegion(arcs=tuple(
+                CircArc(Point(float(d["cx"]), float(d["cy"])), float(d["r"]),
+                        float(d["start"]), float(d["sweep"]))
+                for d in data["arcs"]))
+        else:
+            x, y = data["point"]
+            region = ArcRegion.degenerate(Point(float(x), float(y)))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise RegionValidationError(f"malformed JSON region: {exc!r}") from None
+    _check_region(region)
+    return region
 
 
 def svg_path_data(region: ArcRegion, scale: float, ox: float, oy: float) -> str:

@@ -9,12 +9,17 @@ the move concentrates on the contact intervals of arcs k and k+1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arcs import GeometryError, TAU, area
 from .cheeger import CheegerSolution, cheeger_radius, cheeger_set
 from .polygon import (InvalidPolygon, MIN_ARC, ReuleauxPolygon, _canonical,
-                      _check_vertices, _slide_vertex)
+                      _check_neighbours, _check_vertices, _slide_vertex)
+
+# settings of local_maximize, explained in its docstring
+DERIV_TOL = 1e-8
+STEP0 = 0.05
+COLLAPSE_FLOOR = MIN_ARC
 
 
 class InvalidDeformation(ValueError):
@@ -30,20 +35,14 @@ class AuxParams:
     """Scalar parameters of the contact-angle calculus at Cheeger depth R."""
 
     R: float
-    a: float = field(default=None)  # (1-R)^2; derived when omitted
 
     def __post_init__(self) -> None:
         if not 0.0 < self.R < 0.5:
             raise GeometryError(f"R = {self.R} outside (0, 1/2)")
-        a = (1.0 - self.R) ** 2
-        if self.a is None:
-            object.__setattr__(self, "a", a)
-        elif abs(self.a - a) > 1e-12:
-            raise GeometryError(f"a = {self.a} inconsistent with (1-R)^2 = {a}")
 
-    @classmethod
-    def from_solution(cls, solution: CheegerSolution) -> "AuxParams":
-        return cls(R=solution.R)
+    @property
+    def a(self) -> float:
+        return (1.0 - self.R) ** 2
 
     @classmethod
     def from_polygon(cls, poly: ReuleauxPolygon, tol: float = 1e-12) -> "AuxParams":
@@ -101,6 +100,7 @@ def deform(poly: ReuleauxPolygon, k: int, eps: float) -> ReuleauxPolygon:
     except GeometryError as exc:
         raise ArcCollapseError(str(exc)) from exc
     cand = _canonical(verts)
+    _check_neighbours(cand.vertices)
     _check_vertices(cand.vertices, cand.arc_lengths, 1e-12, ArcCollapseError)
     return cand
 
@@ -125,15 +125,15 @@ def normal_speed(poly: ReuleauxPolygon, k: int, arc: int, s: float) -> float:
     return 0.0
 
 
-def shape_derivative_flagged(poly: ReuleauxPolygon, k: int,
-                             solution: CheegerSolution | None = None,
-                             tol: float = 1e-12) -> tuple[float, bool]:
-    """d h / d eps of the Blaschke move at k, plus a vacuity flag.
+def shape_derivative(poly: ReuleauxPolygon, k: int,
+                     solution: CheegerSolution | None = None,
+                     tol: float = 1e-12) -> float:
+    """d h / d eps of the Blaschke move at k.
 
     The derivative integrates (curvature - h) * normal speed over the contact
     part of the Cheeger set boundary; only arcs k and k+1 move, and on the
-    unit-radius contact arcs the curvature is 1. The flag is True when both
-    contact intervals are empty (the derivative carries no information).
+    unit-radius contact arcs the curvature is 1. It is 0.0 when both contact
+    intervals are empty.
     """
     if solution is None:
         solution = cheeger_set(poly, tol)
@@ -143,7 +143,7 @@ def shape_derivative_flagged(poly: ReuleauxPolygon, k: int,
     c_k = solution.contact_for(k)
     c_k1 = solution.contact_for(kp1)
     if c_k is None and c_k1 is None:
-        return 0.0, True
+        return 0.0
     total = 0.0
     if c_k is not None:
         lo, hi = c_k
@@ -154,14 +154,7 @@ def shape_derivative_flagged(poly: ReuleauxPolygon, k: int,
         base = poly.alphas[kp1]
         ratio = math.sin(poly.arc_lengths[k]) / math.sin(poly.arc_lengths[kp1])
         total -= ratio * (math.cos(lo - base) - math.cos(hi - base))
-    value = (1.0 - solution.h) / area(solution.cheeger_set) * total
-    return value, False
-
-
-def shape_derivative(poly: ReuleauxPolygon, k: int,
-                     solution: CheegerSolution | None = None,
-                     tol: float = 1e-12) -> float:
-    return shape_derivative_flagged(poly, k, solution, tol)[0]
+    return (1.0 - solution.h) / area(solution.cheeger_set) * total
 
 
 def optimality_residual(poly: ReuleauxPolygon, k: int,
@@ -209,32 +202,31 @@ class DeformationTrajectory:
         return self.steps[-1].h
 
 
-def _try_move(poly: ReuleauxPolygon, k: int, eps: float,
-              tol: float) -> tuple[ReuleauxPolygon, float] | None:
+def _try_move(poly: ReuleauxPolygon, k: int,
+              eps: float) -> tuple[ReuleauxPolygon, CheegerSolution] | None:
+    """deform(poly, k, eps) and its Cheeger solution; None if the move fails."""
     try:
         cand = deform(poly, k, eps)
     except (InvalidDeformation, InvalidPolygon, GeometryError):
         return None
     if cand.arc_lengths.min() <= 1e-6:
         return None
-    return cand, 1.0 / cheeger_radius(cand, tol)
+    return cand, cheeger_set(cand)
 
 
-def local_maximize(poly: ReuleauxPolygon, max_iters: int = 500,
-                   deriv_tol: float = 1e-8, step0: float = 0.05,
-                   collapse_floor: float = MIN_ARC,
-                   tol: float = 1e-12) -> DeformationTrajectory:
+def local_maximize(poly: ReuleauxPolygon,
+                   max_iters: int = 500) -> DeformationTrajectory:
     """Greedy ascent of h over Blaschke moves.
 
     Follows the largest shape derivative with a backtracking step from
-    step0; at critical points (all derivatives below deriv_tol) it probes
+    STEP0; at critical points (all derivatives below DERIV_TOL) it probes
     finite moves of both signs at every arc, since h can still gain at
-    second order there. Stops when an arc falls below collapse_floor
+    second order there. Stops when an arc falls below COLLAPSE_FLOOR
     ("boundary"), when no move improves h ("stationary"), or at max_iters.
     """
     current = poly
-    sol = cheeger_set(current, tol)
-    params = AuxParams.from_solution(sol)
+    sol = cheeger_set(current)
+    params = AuxParams(sol.R)
     rows = [TrajectoryStep(0, -1, 0.0, sol.h, residual_norm(current, params))]
     if current.n < 5:
         return DeformationTrajectory(tuple(rows), "stationary", current)
@@ -244,22 +236,22 @@ def local_maximize(poly: ReuleauxPolygon, max_iters: int = 500,
         derivs = [shape_derivative(current, k, sol) for k in range(n)]
         kbest = max(range(n), key=lambda k: abs(derivs[k]))
         accepted = None
-        if abs(derivs[kbest]) >= deriv_tol:
-            eps = math.copysign(step0, derivs[kbest])
+        if abs(derivs[kbest]) >= DERIV_TOL:
+            eps = math.copysign(STEP0, derivs[kbest])
             for _ in range(20):
-                got = _try_move(current, kbest, eps, tol)
-                if got is not None and got[1] > sol.h + 1e-14:
+                got = _try_move(current, kbest, eps)
+                if got is not None and got[1].h > sol.h + 1e-14:
                     accepted = (kbest, eps, *got)
                     break
                 eps *= 0.5
         if accepted is None:
             # critical or stalled: probe finite moves, largest first
-            eps0 = step0
+            eps0 = STEP0
             while eps0 >= 1e-4 and accepted is None:
                 for k in range(n):
                     for sgn in (1.0, -1.0):
-                        got = _try_move(current, k, sgn * eps0, tol)
-                        if got is not None and got[1] > sol.h + 1e-12:
+                        got = _try_move(current, k, sgn * eps0)
+                        if got is not None and got[1].h > sol.h + 1e-12:
                             accepted = (k, sgn * eps0, *got)
                             break
                     if accepted is not None:
@@ -268,12 +260,11 @@ def local_maximize(poly: ReuleauxPolygon, max_iters: int = 500,
         if accepted is None:
             outcome = "stationary"
             break
-        k, eps, current, _h = accepted
-        sol = cheeger_set(current, tol)
-        params = AuxParams.from_solution(sol)
+        k, eps, current, sol = accepted
+        params = AuxParams(sol.R)
         rows.append(TrajectoryStep(it, k, eps, sol.h,
                                    residual_norm(current, params)))
-        if current.arc_lengths.min() < collapse_floor:
+        if current.arc_lengths.min() < COLLAPSE_FLOOR:
             outcome = "boundary"
             break
     return DeformationTrajectory(tuple(rows), outcome, current)

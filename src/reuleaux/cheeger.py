@@ -198,8 +198,8 @@ def disk_cheeger_radius(width: float, tol: float = 1e-12) -> float:
     parallel body at depth R is the concentric disk of radius width/2 - R.
     Expected root: width/4.
     """
-    if width <= 0.0:
-        raise GeometryError("width must be positive")
+    if not (math.isfinite(width) and width > 0.0):
+        raise GeometryError(f"width must be finite and positive, got {width}")
     half = 0.5 * width
 
     def gap(R: float) -> float:

@@ -39,6 +39,8 @@ def _load_polygon(args) -> ReuleauxPolygon:
             N, steps, seed = (int(p) for p in parts)
         except ValueError as exc:
             raise SystemExit2(f"--random wants integers: {exc}")
+        if steps < 0 or seed < 0:
+            raise SystemExit2("--random wants steps >= 0 and seed >= 0")
         return random_polygon(N, steps, seed)
     try:
         with open(args.input, "r", encoding="utf-8") as fh:

@@ -78,21 +78,21 @@ def _far_pair(verts: np.ndarray) -> tuple[int, int, float] | None:
     return None
 
 
-def _check_vertices(verts: np.ndarray, js: np.ndarray, min_arc: float,
-                    arc_error: type[Exception] = AdjacencyError) -> None:
-    """Raise unless verts, with arc lengths js, is a width-one Reuleaux polygon.
-
-    Three tests, cheapest first: index-neighbours at unit distance
-    (AdjacencyError), arc lengths in (min_arc, pi) summing to pi (arc_error,
-    AdjacencyError by default), no pair further than 1 apart (WidthError).
-    """
-    n = len(verts)
+def _check_neighbours(verts: np.ndarray) -> None:
+    """Raise AdjacencyError unless index-neighbours sit at unit distance."""
     gaps = np.hypot(*(np.roll(verts, -1, axis=0) - verts).T)
     off = np.abs(gaps - 1.0) > WIDTH_TOL
     if off.any():
         k = int(np.argmax(off))
-        raise AdjacencyError(f"vertices {k} and {(k + 1) % n} at distance "
-                             f"{float(gaps[k])!r}, expected 1")
+        raise AdjacencyError(f"vertices {k} and {(k + 1) % len(verts)} at "
+                             f"distance {float(gaps[k])!r}, expected 1")
+
+
+def _check_vertices(verts: np.ndarray, js: np.ndarray, min_arc: float,
+                    arc_error: type[Exception] = AdjacencyError) -> None:
+    """Raise unless verts, whose neighbours passed _check_neighbours, with
+    arc lengths js is a width-one Reuleaux polygon: arcs in (min_arc, pi)
+    summing to pi (arc_error), then no pair beyond 1 apart (WidthError)."""
     if js.min() <= min_arc or js.max() >= math.pi:
         if js.min() > math.pi:
             raise arc_error("vertices are in clockwise order; "
@@ -162,6 +162,7 @@ def from_vertices(points) -> ReuleauxPolygon:
         raise VertexCountError(f"need an odd number >= 3 of vertices, got {n}")
     if not np.all(np.isfinite(verts)):
         raise InvalidPolygon("non-finite vertex coordinates")
+    _check_neighbours(verts)  # before the MEC, slow on collinear runs
     poly = _canonical(verts)
     _check_vertices(poly.vertices, poly.arc_lengths, 0.0)
     return poly
@@ -230,6 +231,7 @@ def random_polygon(N: int, steps: int, seed: int) -> ReuleauxPolygon:
         eps = float(rng.uniform(-0.02, 0.02))
         try:
             cand = _slide_vertex(verts, k, eps)
+            _check_neighbours(cand)
             _check_vertices(cand, _angles_of(cand)[2], MIN_ARC)
         except (GeometryError, InvalidPolygon):
             continue

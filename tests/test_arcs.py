@@ -6,10 +6,11 @@ import math
 import pytest
 
 from oracles import brute_mec, mc_area_disks, mc_area_region
-from reuleaux import (ArcRegion, CircArc, EmptyIntersectionError, Point,
-                      RegionValidationError, area, disk_intersection,
-                      min_enclosing_circle, minkowski_disk_sum, perimeter,
-                      region_from_json, region_to_json)
+from reuleaux import (ArcRegion, CircArc, EmptyIntersectionError,
+                      GeometryError, Point, RegionValidationError, area,
+                      disk_intersection, min_enclosing_circle,
+                      minkowski_disk_sum, perimeter, region_from_json,
+                      region_to_json)
 from reuleaux.cheeger import triangle_inner_area
 from reuleaux.polygon import as_region, regular
 
@@ -177,18 +178,83 @@ class TestSerialization:
         assert abs(back.point.x - region.point.x) < 1e-15
 
 
+def arc_json(cx, cy, r, start, sweep) -> dict:
+    return {"cx": cx, "cy": cy, "r": r, "start": start, "sweep": sweep}
+
+
 class TestValidation:
+    # regions are checked where they enter, by region_from_json
     def test_broken_chain_rejected(self):
         # two arcs that do not meet end to start
-        a = CircArc(Point(0.0, 0.0), 1.0, 0.0, math.pi)
-        b = CircArc(Point(5.0, 0.0), 1.0, 0.0, math.pi)
+        data = {"arcs": [arc_json(0.0, 0.0, 1.0, 0.0, math.pi),
+                         arc_json(5.0, 0.0, 1.0, 0.0, math.pi)]}
         with pytest.raises(RegionValidationError):
-            ArcRegion(arcs=(a, b))
+            region_from_json(data)
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):
-            CircArc(Point(0.0, 0.0), -1.0, 0.0, 1.0)
+            region_from_json({"arcs": [arc_json(0.0, 0.0, -1.0, 0.0, 1.0)]})
 
     def test_nonpositive_sweep_rejected(self):
         with pytest.raises(ValueError):
-            CircArc(Point(0.0, 0.0), 1.0, 0.0, 0.0)
+            region_from_json({"arcs": [arc_json(0.0, 0.0, 1.0, 0.0, 0.0)]})
+
+    @pytest.mark.parametrize("data", [
+        [arc_json(0.0, 0.0, 1.0, 0.0, TAU)],
+        "region",
+        {},
+        {"arcs": [], "point": None},
+        {"arcs": [{"cx": 0.0, "cy": 0.0, "r": 1.0, "start": 0.0}]},
+        {"arcs": [arc_json(0.0, 0.0, "one", 0.0, TAU)]},
+        {"arcs": [arc_json(0.0, None, 1.0, 0.0, TAU)]},
+        {"arcs": "abc"},
+        {"arcs": [], "point": [1.0]},
+        {"arcs": [], "point": ["x", 0.0]},
+    ])
+    def test_malformed_json_rejected(self, data):
+        with pytest.raises(RegionValidationError):
+            region_from_json(data)
+
+    @pytest.mark.parametrize("data", [
+        {"arcs": [arc_json(math.nan, 0.0, 1.0, 0.0, TAU)]},
+        {"arcs": [arc_json(0.0, 0.0, math.inf, 0.0, TAU)]},
+        {"arcs": [arc_json(0.0, 0.0, 1.0, math.nan, TAU)]},
+        {"arcs": [arc_json(0.0, 0.0, 1.0, 0.0, 7.0)]},
+        {"arcs": [], "point": [math.inf, 0.0]},
+    ])
+    def test_bad_numbers_rejected(self, data):
+        with pytest.raises(GeometryError) as info:
+            region_from_json(data)
+        assert info.type is GeometryError
+
+    def test_reflex_corner_and_turning_rejected(self):
+        # a full circle closes on itself but turns 2pi; twice round turns 4pi
+        circle = arc_json(0.0, 0.0, 1.0, 0.0, TAU)
+        with pytest.raises(RegionValidationError, match="turning"):
+            region_from_json({"arcs": [circle, circle]})
+        # the right half of the unit circle, closed through the left by the
+        # long way round a circle about (-1, 0): both corners bend inward
+        dent = [arc_json(0.0, 0.0, 1.0, -math.pi / 2, math.pi),
+                arc_json(-1.0, 0.0, math.sqrt(2.0), math.pi / 4,
+                         1.5 * math.pi)]
+        with pytest.raises(RegionValidationError, match="reflex"):
+            region_from_json({"arcs": dent})
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_disk_intersection(self, bad):
+        with pytest.raises(GeometryError):
+            disk_intersection([(0.0, 0.0), (bad, 0.0)], 1.0)
+        with pytest.raises(GeometryError):
+            disk_intersection([(0.0, 0.0), (0.5, 0.0)], bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_minkowski_disk_sum(self, bad):
+        with pytest.raises(GeometryError):
+            minkowski_disk_sum(as_region(regular(1)), bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_min_enclosing_circle(self, bad):
+        with pytest.raises(GeometryError):
+            min_enclosing_circle([(0.0, 0.0), (1.0, bad), (2.0, 1.0)])

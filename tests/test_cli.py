@@ -99,6 +99,19 @@ class TestCheeger:
         assert needle in res.stderr
         assert "np.float64" not in res.stderr
 
+    @pytest.mark.parametrize("spec,needle", [
+        ("2,10,-1", "seed >= 0"),
+        ("2,-5,1", "steps >= 0"),
+        ("2,10", "N,steps,seed"),
+        ("2,x,1", "integers"),
+    ])
+    def test_malformed_random_exits_2(self, spec, needle):
+        res = run("cheeger", "--random", spec)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error:") and needle in res.stderr
+        assert res.stdout == ""
+
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "abc"])
     def test_bad_tolerance_exits_2(self, tol):
         res = run("cheeger", "--regular", "1", "--tol", tol)

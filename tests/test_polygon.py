@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -87,6 +88,16 @@ class TestFromVertices:
     def test_clockwise_rejected(self):
         with pytest.raises(AdjacencyError, match="clockwise"):
             from_vertices(regular(2).vertices[::-1])
+
+    def test_collinear_run_rejected_fast(self):
+        # sorted collinear points are the slow case of the minimal enclosing
+        # circle; the neighbour test rejects them (at the wrap-around pair)
+        # before it runs
+        pts = [(float(i), 0.0) for i in range(20_001)]
+        t0 = time.perf_counter()
+        with pytest.raises(AdjacencyError, match="vertices 20000 and 0"):
+            from_vertices(pts)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_json_round_trip(self):
         p = random_polygon(3, 25, seed=12)

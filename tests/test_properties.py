@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from oracles import brute_mec, far_pairs, reuleaux_faults
 from reuleaux import (GeometryError, InvalidPolygon, area, cheeger_set,
-                      from_vertices, min_enclosing_circle, minkowski_disk_sum,
-                      perimeter, random_polygon, regular, upper_bounds)
+                      deform, from_vertices, inner_parallel,
+                      min_enclosing_circle, minkowski_disk_sum, perimeter,
+                      random_polygon, region_from_json, region_to_json,
+                      regular, upper_bounds)
 from reuleaux.polygon import (MIN_ARC, WidthError, _angles_of,
-                              _check_vertices, _far_pair, _slide_vertex,
-                              as_region)
+                              _check_neighbours, _check_vertices, _far_pair,
+                              _slide_vertex, as_region)
 
 polys = st.builds(random_polygon,
                   N=st.integers(min_value=1, max_value=5),
@@ -127,8 +129,13 @@ def test_vertex_check_matches_reference(p, how, i, push):
     elif how == "reverse":
         v = v[::-1]
     js = _angles_of(v)[2]
+
+    def walk_check():
+        _check_neighbours(v)
+        _check_vertices(v, js, MIN_ARC)
+
     for min_arc, call in ((0.0, lambda: from_vertices(v)),
-                          (MIN_ARC, lambda: _check_vertices(v, js, MIN_ARC))):
+                          (MIN_ARC, walk_check)):
         err = _check_outcome(call)
         assert _agrees(err, reuleaux_faults(v, min_arc)), (how, min_arc, err)
     if how == "reverse":
@@ -151,3 +158,36 @@ def test_width_test_finds_non_adjacent_pairs_across_blocks(k, push):
     want = far_pairs(v)
     assert any((j - i) % 81 not in (1, 80) for i, j in want)
     assert _far_pair(v)[:2] == want[0]
+
+
+def _one_arc_collapsed(p, i: int):
+    # arc k shrunk to 1e-11 by the Blaschke move at k + 1
+    k = i % p.n
+    try:
+        return deform(p, (k + 1) % p.n, p.arc_lengths[k] - 1e-11)
+    except ValueError:  # a triangle, or some other arc would collapse
+        assume(False)
+
+
+walk_polys = st.builds(random_polygon, N=st.integers(min_value=1, max_value=6),
+                       steps=st.integers(min_value=0, max_value=40),
+                       seed=st.integers(min_value=0, max_value=10_000))
+built_polys = st.one_of(
+    walk_polys,
+    st.builds(random_polygon, N=st.just(20), steps=st.just(40),
+              seed=st.integers(min_value=0, max_value=3)),
+    st.builds(_one_arc_collapsed, walk_polys, st.integers(min_value=0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(built_polys, st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_built_regions_pass_the_region_check(p, depth, rho):
+    # Regions are checked only where they enter (region_from_json); every
+    # region the library builds itself must pass that same check
+    regions = [as_region(p), inner_parallel(p, depth * p.inradius),
+               cheeger_set(p).cheeger_set,
+               minkowski_disk_sum(as_region(p), rho)]
+    for region in regions:
+        data = region_to_json(region)
+        assert region_to_json(region_from_json(data)) == data
