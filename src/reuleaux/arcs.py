@@ -207,13 +207,32 @@ def min_enclosing_circle(points: Iterable) -> tuple[Point, float]:
 # ---------------------------------------------------------------------------
 # intersection of equal-radius disks
 
+def _clip_intervals(pts: np.ndarray, rho: float,
+                    o: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Interval [lo_i, hi_i] of circle |x - P_i| = rho left inside every disk
+    B(P_j, rho), empty if hi_i - lo_i <= 0. The centres pts (n, 2) must be
+    distinct and o in their hull: x on circle i in every disk has
+    (x - P_i).(P_j - P_i) > 0 for all j, so x - P_i is within pi/2 of o - P_i
+    and each theta_ij goes on its branch nearest P_i -> o. (If o = P_i, as
+    the MEC centre can be, circle i has no such x: o is in the others' hull.)
+    """
+    dx, dy = (pts[None] - pts[:, None]).transpose(2, 0, 1)
+    theta = np.arctan2(dy, dx)
+    # points of circle i inside disk j: |s - theta_ij| <= delta_ij
+    delta = np.arccos(np.minimum(np.hypot(dx, dy) / (2.0 * rho), 1.0))
+    ref = np.arctan2(o[1] - pts[:, 1], o[0] - pts[:, 0])[:, None]
+    theta += TAU * np.round((ref - theta) / TAU)
+    np.fill_diagonal(delta, np.inf)
+    return (theta - delta).max(axis=1), (theta + delta).min(axis=1)
+
+
 def disk_intersection(centers: Iterable, radius: float) -> ArcRegion:
     """Intersection of disks B(c_k, radius), as an ArcRegion.
 
     Raises EmptyIntersectionError when empty; returns a degenerate point
     region when the intersection is a single point (within tangency tol).
-    Each circle contributes at most one arc; the surviving angular interval
-    is found by clipping against every other disk in turn.
+    Each circle contributes at most one arc, its interval from
+    _clip_intervals about the centres' minimal enclosing circle.
     """
     if not (math.isfinite(radius) and radius > 0.0):
         raise GeometryError(f"radius must be finite and positive, got {radius}")
@@ -222,13 +241,12 @@ def disk_intersection(centers: Iterable, radius: float) -> ArcRegion:
         raise GeometryError("centers must be an (n, 2) array")
     if not np.isfinite(raw).all():
         raise GeometryError("non-finite disk center")
-    # drop duplicate centers: identical disks impose no extra constraint
-    cs: list[np.ndarray] = []
-    for row in raw:
-        if not all(np.hypot(*(row - q)) > 1e-14 for q in cs):
-            continue
-        cs.append(row)
-    pts = np.array(cs)
+    # drop duplicate centers, the first stays: identical disks add nothing
+    close = np.tril(np.hypot(*(raw[:, None] - raw).transpose(2, 0, 1)) <= 1e-14, -1)
+    keep = np.ones(len(raw), dtype=bool)
+    for j in np.flatnonzero(close.any(axis=1)):
+        keep[j] = not (close[j] & keep).any()
+    pts = raw[keep]
     n = len(pts)
 
     mec_center, mec_r = min_enclosing_circle(pts)
@@ -244,36 +262,15 @@ def disk_intersection(centers: Iterable, radius: float) -> ArcRegion:
         full = CircArc(Point(pts[0][0], pts[0][1]), radius, 0.0, TAU)
         return ArcRegion(arcs=(full,))
 
-    arcs: list[CircArc] = []
-    for i in range(n):
-        lo = hi = None
-        alive = True
-        for j in range(n):
-            if j == i:
-                continue
-            dvec = pts[j] - pts[i]
-            d = math.hypot(dvec[0], dvec[1])
-            theta = math.atan2(dvec[1], dvec[0])
-            # points of circle i inside disk j: |s - theta| <= delta
-            delta = math.acos(min(1.0, max(-1.0, d / (2.0 * radius))))
-            if lo is None:
-                lo, hi = theta - delta, theta + delta
-            else:
-                mid = 0.5 * (lo + hi)
-                rep = theta + TAU * round((mid - theta) / TAU)
-                lo = max(lo, rep - delta)
-                hi = min(hi, rep + delta)
-            if hi - lo <= TANGENCY_TOL:
-                alive = False
-                break
-        if alive:
-            arcs.append(CircArc(Point(pts[i][0], pts[i][1]), radius, lo, hi - lo))
-
+    cx, cy = mec_center.x, mec_center.y
+    lo, hi = _clip_intervals(pts, radius, (cx, cy))
+    arcs = [CircArc(Point(x, y), radius, a, b - a)
+            for (x, y), a, b in zip(pts.tolist(), lo.tolist(), hi.tolist())
+            if b - a > TANGENCY_TOL]
     if not arcs:
         # every circle clipped away yet the region is fat: cannot happen
         raise EmptyIntersectionError("no surviving boundary arcs")
 
-    cx, cy = mec_center.x, mec_center.y
     arcs.sort(key=lambda a: math.atan2(a.midpoint.y - cy, a.midpoint.x - cx))
     return ArcRegion(arcs=tuple(arcs))
 
@@ -352,15 +349,20 @@ def _check_region(region: ArcRegion) -> None:
 def region_from_json(data: dict) -> ArcRegion:
     """Read and check a region written by region_to_json: where regions
     enter from outside. Malformed JSON raises RegionValidationError."""
+    def num(v) -> float:  # float() would also take "0", false and " 1.5 "
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise TypeError(f"not a JSON number: {v!r}")
+        return float(v)
+
     try:
         if data.get("arcs"):
             region = ArcRegion(arcs=tuple(
-                CircArc(Point(float(d["cx"]), float(d["cy"])), float(d["r"]),
-                        float(d["start"]), float(d["sweep"]))
+                CircArc(Point(num(d["cx"]), num(d["cy"])), num(d["r"]),
+                        num(d["start"]), num(d["sweep"]))
                 for d in data["arcs"]))
         else:
             x, y = data["point"]
-            region = ArcRegion.degenerate(Point(float(x), float(y)))
+            region = ArcRegion.degenerate(Point(num(x), num(y)))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise RegionValidationError(f"malformed JSON region: {exc!r}") from None
     _check_region(region)

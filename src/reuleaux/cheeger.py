@@ -12,9 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .arcs import (SQRT3, TAU, ArcRegion, CircArc, GeometryError, Point,
-                   _wrap, area, disk_intersection, minkowski_disk_sum,
-                   perimeter)
+import numpy as np
+
+from .arcs import (SQRT3, TANGENCY_TOL, TAU, ArcRegion, CircArc,
+                   GeometryError, Point, _clip_intervals, _wrap, area,
+                   disk_intersection, minkowski_disk_sum, perimeter)
 from .polygon import ReuleauxPolygon
 
 
@@ -80,13 +82,29 @@ def inner_parallel(poly: ReuleauxPolygon, R: float) -> ArcRegion:
 def cheeger_radius(poly: ReuleauxPolygon, tol: float = 1e-12) -> float:
     """The radius R with |inner body| = pi R^2; h = 1/R.
 
-    The gap |inner| - pi R^2 is strictly decreasing on [0, inradius] from
-    |polygon| to -pi r^2, so bisection always lands on the unique root.
-    """
-    def gap(R: float) -> float:
-        return area(inner_parallel(poly, R)) - math.pi * R * R
-
-    return bisect_root(gap, 0.0, poly.inradius, tol)
+    Newton from inradius/2 on g(R) = |inner| - pi R^2, which falls strictly
+    on [0, inradius], with g' = -perimeter(inner) - 2 pi R (the Cheeger set
+    is the inner body plus a disk of radius R). Each evaluation, one clip
+    kernel call about the origin, moves an end of the bracket [0, inradius];
+    a step leaving it is replaced by the midpoint."""
+    verts, lo, hi, R = poly.vertices, 0.0, poly.inradius, 0.5 * poly.inradius
+    while True:
+        rho = 1.0 - R
+        a, b = _clip_intervals(verts, rho, (0.0, 0.0))
+        live = b - a > TANGENCY_TOL
+        a, b, (x, y) = a[live], b[live], verts[live].T
+        # Green's theorem over the surviving arcs, as in arcs.area
+        g = 0.5 * rho * float(np.sum(rho * (b - a) + x * (np.sin(b) - np.sin(a))
+                                     - y * (np.cos(b) - np.cos(a)))) - math.pi * R * R
+        lo, hi = (R, hi) if g > 0.0 else (lo, R)
+        step = g / (rho * float(np.sum(b - a)) + 2.0 * math.pi * R)
+        if abs(step) <= tol or hi - lo <= tol:
+            return min(max(R + step, lo), hi)
+        R += step
+        if not lo < R < hi:
+            R = 0.5 * (lo + hi)
+            if R in (lo, hi):  # no float left between them
+                return R
 
 
 def cheeger_set(poly: ReuleauxPolygon, tol: float = 1e-12) -> CheegerSolution:
@@ -194,7 +212,7 @@ def triangle_closed_form(tol: float = 1e-12) -> tuple[float, float]:
 def disk_cheeger_radius(width: float, tol: float = 1e-12) -> float:
     """Cheeger radius of a disk of the given width (diameter), via ArcRegions.
 
-    Routes through the same area machinery as the polygon solver: the inner
+    Bisects with arcs.area, which cheeger_set's regions use: the inner
     parallel body at depth R is the concentric disk of radius width/2 - R.
     Expected root: width/4.
     """

@@ -47,10 +47,10 @@ class DegenerateSectorError(GeometryError):
 
 
 def _angles_of(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # math.atan2, not np.arctan2: the two differ in the last bit on some
-    # inputs, which would move arc lengths, contacts and ascent trajectories
-    nxt = (np.roll(verts, -1, axis=0) - verts).tolist()
-    prv = (np.roll(verts, 1, axis=0) - verts).tolist()
+    # math.atan2, not np.arctan2, which differs in the last bit on some inputs
+    # and would move arcs, contacts and trajectories; slices: np.roll is slow
+    nxt = (np.concatenate((verts[1:], verts[:1])) - verts).tolist()
+    prv = (np.concatenate((verts[-1:], verts[:-1])) - verts).tolist()
     alphas = np.array([math.atan2(y, x) for x, y in nxt])
     betas = np.array([math.atan2(y, x) for x, y in prv])
     js = np.mod(betas - alphas, TAU)
@@ -80,7 +80,7 @@ def _far_pair(verts: np.ndarray) -> tuple[int, int, float] | None:
 
 def _check_neighbours(verts: np.ndarray) -> None:
     """Raise AdjacencyError unless index-neighbours sit at unit distance."""
-    gaps = np.hypot(*(np.roll(verts, -1, axis=0) - verts).T)
+    gaps = np.hypot(*(np.concatenate((verts[1:], verts[:1])) - verts).T)
     off = np.abs(gaps - 1.0) > WIDTH_TOL
     if off.any():
         k = int(np.argmax(off))

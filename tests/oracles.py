@@ -1,7 +1,7 @@
 """Slow reference implementations used only to cross-check the package.
 
 Everything here is deliberately naive: Monte Carlo areas, cubic-time
-enclosing circles, golden-section search. Tests compare the fast library
+enclosing circles, disk-by-disk clipping, golden-section search. Tests compare the fast library
 code against these with explicit tolerances.
 """
 from __future__ import annotations
@@ -9,6 +9,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from reuleaux.arcs import (TANGENCY_TOL, ArcRegion, CircArc,
+                           EmptyIntersectionError, GeometryError, Point,
+                           min_enclosing_circle)
 
 
 def mc_area_disks(centers, radius: float, n: int = 400_000,
@@ -147,3 +151,62 @@ def reuleaux_faults(vertices, min_arc: float = 0.0,
     if far_pairs(pts, tol):
         faults.add("width")
     return faults
+
+
+def naive_disk_intersection(centers, radius: float):
+    """Intersection of disks B(c_k, radius), clipped one disk at a time.
+
+    The per-circle double loop the library used before its clip kernel: the
+    surviving interval of each circle is narrowed by every other disk in
+    turn, each new interval put on the branch nearest the running midpoint.
+    It shares only the minimal enclosing circle (for the empty and
+    degenerate tests and the arc order) and the region records with the
+    library.
+    """
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise GeometryError(f"radius must be finite and positive, got {radius}")
+    pts: list[tuple[float, float]] = []
+    for x, y in centers:
+        if all(math.hypot(x - p[0], y - p[1]) > 1e-14 for p in pts):
+            pts.append((float(x), float(y)))
+    n = len(pts)
+    mec_center, mec_r = min_enclosing_circle(pts)
+    if mec_r > radius + TANGENCY_TOL:
+        raise EmptyIntersectionError("empty intersection")
+    if radius - mec_r <= TANGENCY_TOL:
+        return ArcRegion.degenerate(mec_center)
+    if n == 1:
+        return ArcRegion(arcs=(CircArc(Point(*pts[0]), radius, 0.0,
+                                       2.0 * math.pi),))
+    arcs = []
+    for i in range(n):
+        lo = hi = None
+        alive = True
+        for j in range(n):
+            if j == i:
+                continue
+            dx, dy = pts[j][0] - pts[i][0], pts[j][1] - pts[i][1]
+            theta = math.atan2(dy, dx)
+            # points of circle i inside disk j: |s - theta| <= delta. The
+            # distance comes from np.hypot, as in the library: near tangency
+            # (d / 2 radius -> 1) acos turns math.hypot's one-ulp difference
+            # into 2e-12 rad at radius = (1 + 1e-9) d / 2
+            d = float(np.hypot(dx, dy))
+            delta = math.acos(min(1.0, d / (2.0 * radius)))
+            if lo is None:
+                lo, hi = theta - delta, theta + delta
+            else:
+                mid = 0.5 * (lo + hi)
+                rep = theta + 2.0 * math.pi * round((mid - theta) / (2.0 * math.pi))
+                lo = max(lo, rep - delta)
+                hi = min(hi, rep + delta)
+            if hi - lo <= TANGENCY_TOL:
+                alive = False
+                break
+        if alive:
+            arcs.append(CircArc(Point(*pts[i]), radius, lo, hi - lo))
+    if not arcs:
+        raise EmptyIntersectionError("no surviving boundary arcs")
+    cx, cy = mec_center.x, mec_center.y
+    arcs.sort(key=lambda a: math.atan2(a.midpoint.y - cy, a.midpoint.x - cx))
+    return ArcRegion(arcs=tuple(arcs))

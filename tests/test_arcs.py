@@ -210,10 +210,24 @@ class TestValidation:
         {"arcs": "abc"},
         {"arcs": [], "point": [1.0]},
         {"arcs": [], "point": ["x", 0.0]},
+        # JSON numbers only: no strings, booleans or null that float() takes
+        {"arcs": [arc_json("0", 0.0, 1.0, 0.0, TAU)]},
+        {"arcs": [arc_json(0.0, False, 1.0, 0.0, TAU)]},
+        {"arcs": [arc_json(0.0, 0.0, " 1.5 ", 0.0, TAU)]},
+        {"arcs": [arc_json(0.0, 0.0, True, 0.0, TAU)]},
+        {"arcs": [arc_json(0.0, 0.0, 1.0, None, TAU)]},
+        {"arcs": [], "point": [None, 0.0]},
+        {"arcs": [], "point": [0.0, "0"]},
+        {"arcs": [], "point": [False, 0.0]},
     ])
     def test_malformed_json_rejected(self, data):
         with pytest.raises(RegionValidationError):
             region_from_json(data)
+
+    def test_integers_are_numbers(self):
+        region = region_from_json({"arcs": [arc_json(0, 0, 2, 0, TAU)]})
+        assert abs(area(region) - 4.0 * math.pi) < 1e-14
+        assert region_from_json({"arcs": [], "point": [1, -2]}).point == Point(1.0, -2.0)
 
     @pytest.mark.parametrize("data", [
         {"arcs": [arc_json(math.nan, 0.0, 1.0, 0.0, TAU)]},

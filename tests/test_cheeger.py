@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import reuleaux.cheeger as cheeger_module
 from oracles import golden_min
 from reuleaux import (area, cheeger_radius, cheeger_set, contact_angles,
                       deform, disk_cheeger_radius, inner_parallel, perimeter,
@@ -107,6 +108,43 @@ class TestSolver:
         for seed in (2, 9, 13):
             p = random_polygon(2 + seed % 3, 40, seed=seed)
             assert cheeger_set(p).h < h_tri
+
+
+class TestNewton:
+    @staticmethod
+    def bisected(p, tol=1e-12):
+        return bisect_root(
+            lambda R: area(inner_parallel(p, R)) - math.pi * R * R,
+            0.0, p.inradius, tol)
+
+    def test_regular_matches_bisection(self, regular_pool):
+        for p in regular_pool:
+            assert abs(cheeger_radius(p) - self.bisected(p)) <= 1e-12
+
+    @staticmethod
+    def evaluations(monkeypatch, p, tol):
+        calls = []
+        kernel = cheeger_module._clip_intervals
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(cheeger_module, "_clip_intervals", counted)
+            cheeger_radius(p, tol)
+        return len(calls)
+
+    def test_few_evaluations(self, monkeypatch, regular_pool):
+        # bisection would take 41; more than 6 means Newton fell back
+        for seed in range(200):  # verify's sweep seeds
+            p = random_polygon(seed % 6 + 1, 30 + (seed * 7) % 21, seed)
+            assert self.evaluations(monkeypatch, p, 1e-12) <= 6, seed
+        for p in regular_pool:
+            assert self.evaluations(monkeypatch, p, 1e-12) <= 6, p.n
+        assert self.evaluations(monkeypatch, regular(1), 1e-15) <= 6
+        # tol = 0, which the CLI accepts, ends once no float is left to try
+        assert self.evaluations(monkeypatch, regular(2), 0.0) <= 64
 
 
 class TestContacts:

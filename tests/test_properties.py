@@ -8,12 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_mec, far_pairs, reuleaux_faults
-from reuleaux import (GeometryError, InvalidPolygon, area, cheeger_set,
-                      deform, from_vertices, inner_parallel,
-                      min_enclosing_circle, minkowski_disk_sum, perimeter,
-                      random_polygon, region_from_json, region_to_json,
-                      regular, upper_bounds)
+from oracles import (brute_mec, far_pairs, naive_disk_intersection,
+                     reuleaux_faults)
+from reuleaux import (GeometryError, InvalidPolygon, area, cheeger_radius,
+                      cheeger_set, deform, disk_intersection, from_vertices,
+                      inner_parallel, min_enclosing_circle,
+                      minkowski_disk_sum, perimeter, random_polygon,
+                      region_from_json, region_to_json, regular,
+                      upper_bounds)
+from reuleaux.cheeger import bisect_root
 from reuleaux.polygon import (MIN_ARC, WidthError, _angles_of,
                               _check_neighbours, _check_vertices, _far_pair,
                               _slide_vertex, as_region)
@@ -191,3 +194,49 @@ def test_built_regions_pass_the_region_check(p, depth, rho):
     for region in regions:
         data = region_to_json(region)
         assert region_to_json(region_from_json(data)) == data
+
+
+def _outcome(call):
+    try:
+        return call()
+    except GeometryError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                min_size=2, max_size=12),
+       st.floats(min_value=1.0 + 1e-9, max_value=3.0))
+def test_clip_kernel_matches_naive_clip(centers, factor):
+    # Centred on their minimal enclosing circle, so that every centre is
+    # within rho of the origin and both areas are good to a few ulps of rho^2
+    c, _ = min_enclosing_circle(centers)
+    centers = [(x - c.x, y - c.y) for x, y in centers]
+    rho = factor * min_enclosing_circle(centers)[1]
+    got = _outcome(lambda: disk_intersection(centers, rho))
+    want = _outcome(lambda: naive_disk_intersection(centers, rho))
+    if isinstance(got, type) or isinstance(want, type):
+        assert got is want
+        return
+    assert got.is_degenerate == want.is_degenerate
+    # the same chain; it may start elsewhere when a midpoint sits at angle pi
+    # from the sort centre, where atan2 jumps
+    arcs = list(got.arcs)
+    order = [a.center for a in arcs]
+    if want.arcs and want.arcs[0].center in order:
+        k = order.index(want.arcs[0].center)
+        arcs = arcs[k:] + arcs[:k]
+    assert [a.center for a in arcs] == [a.center for a in want.arcs]
+    for a, b in zip(arcs, want.arcs):
+        assert abs(math.remainder(a.start - b.start, 2.0 * math.pi)) <= 1e-12
+        assert abs(math.remainder(a.end - b.end, 2.0 * math.pi)) <= 1e-12
+    assert abs(area(got) - area(want)) <= 1e-12 * rho * rho
+
+
+@settings(max_examples=40, deadline=None)
+@given(built_polys)
+def test_newton_solve_matches_bisection(p):
+    # walk polygons up to 13 arcs, 41-arc walks, one arc collapsed to 1e-11
+    want = bisect_root(lambda R: area(inner_parallel(p, R)) - math.pi * R * R,
+                       0.0, p.inradius)
+    assert abs(cheeger_radius(p) - want) <= 1e-12
