@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .arcs import GeometryError, TAU, area
 from .cheeger import CheegerSolution, cheeger_radius, cheeger_set
 from .polygon import (InvalidPolygon, MIN_ARC, ReuleauxPolygon, _canonical,
-                      _check_neighbours, _check_vertices, _slide_vertex)
+                      _check_arcs, _slide_vertex)
 
 # settings of local_maximize, explained in its docstring
 DERIV_TOL = 1e-8
@@ -100,8 +100,7 @@ def deform(poly: ReuleauxPolygon, k: int, eps: float) -> ReuleauxPolygon:
     except GeometryError as exc:
         raise ArcCollapseError(str(exc)) from exc
     cand = _canonical(verts)
-    _check_neighbours(cand.vertices)
-    _check_vertices(cand.vertices, cand.arc_lengths, 1e-12, ArcCollapseError)
+    _check_arcs(cand.arc_lengths, 1e-12, ArcCollapseError)
     return cand
 
 

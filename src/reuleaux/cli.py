@@ -75,8 +75,11 @@ def cmd_cheeger(args) -> int:
     poly = _load_polygon(args)
     sol = cheeger_set(poly, tol=args.tol)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_svg_overlay(poly, sol))
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(_svg_overlay(poly, sol))
+        except OSError as exc:
+            raise SystemExit2(f"cannot write SVG: {exc}")
     payload = {"R": sol.R, "h": sol.h,
                "contacts": [[l, lo, hi] for l, lo, hi in sol.contacts]}
     if args.format == "json":
@@ -147,11 +150,18 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return value
+def _nonnegative(kind):
+    """argparse type: a finite number of the given kind, at least 0."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be a finite {kind.__name__} >= 0, got {text}")
+        return value
+    return parse
 
 
 def _add_polygon_options(p: argparse.ArgumentParser) -> None:
@@ -172,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cheeger", help="solve the Cheeger problem for one polygon")
     _add_polygon_options(p)
-    p.add_argument("--tol", type=_tolerance, default=1e-12)
+    p.add_argument("--tol", type=_nonnegative(float), default=1e-12)
     p.add_argument("--format", choices=("json", "csv", "svg"), default="json")
     p.add_argument("--svg", metavar="FILE",
                    help="also write an SVG overlay (body, inner set, Cheeger set)")
@@ -195,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="greedy Blaschke ascent of h")
     _add_polygon_options(p)
-    p.add_argument("--iters", type=int, default=500)
+    p.add_argument("--iters", type=_nonnegative(int), default=500)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_optimize)
     return ap
@@ -206,10 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidPolygon, GeometryError) as exc:
+    except (SystemExit2, InvalidPolygon, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -88,11 +88,10 @@ def _check_neighbours(verts: np.ndarray) -> None:
                              f"distance {float(gaps[k])!r}, expected 1")
 
 
-def _check_vertices(verts: np.ndarray, js: np.ndarray, min_arc: float,
-                    arc_error: type[Exception] = AdjacencyError) -> None:
-    """Raise unless verts, whose neighbours passed _check_neighbours, with
-    arc lengths js is a width-one Reuleaux polygon: arcs in (min_arc, pi)
-    summing to pi (arc_error), then no pair beyond 1 apart (WidthError)."""
+def _check_arcs(js: np.ndarray, min_arc: float,
+                arc_error: type[Exception] = AdjacencyError) -> None:
+    """Raise arc_error unless arcs js are in (min_arc, pi) and sum to pi."""
+    # with unit neighbours, such arcs close into a curve of constant width 1
     if js.min() <= min_arc or js.max() >= math.pi:
         if js.min() > math.pi:
             raise arc_error("vertices are in clockwise order; "
@@ -100,10 +99,6 @@ def _check_vertices(verts: np.ndarray, js: np.ndarray, min_arc: float,
         raise arc_error(f"arc lengths outside ({min_arc:g}, pi)")
     if abs(js.sum() - math.pi) > WIDTH_TOL:
         raise arc_error(f"arc lengths sum to {float(js.sum())!r}, expected pi")
-    far = _far_pair(verts)
-    if far is not None:
-        raise WidthError(f"vertices {far[0]} and {far[1]} at distance "
-                         f"{far[2]!r} > 1")
 
 
 @dataclass(frozen=True)
@@ -164,7 +159,11 @@ def from_vertices(points) -> ReuleauxPolygon:
         raise InvalidPolygon("non-finite vertex coordinates")
     _check_neighbours(verts)  # before the MEC, slow on collinear runs
     poly = _canonical(verts)
-    _check_vertices(poly.vertices, poly.arc_lengths, 0.0)
+    _check_arcs(poly.arc_lengths, 0.0)
+    far = _far_pair(poly.vertices)
+    if far is not None:
+        raise WidthError(f"vertices {far[0]} and {far[1]} at distance "
+                         f"{far[2]!r} > 1")
     return poly
 
 
@@ -177,7 +176,7 @@ def regular(N: int) -> ReuleauxPolygon:
     rho = 1.0 / (2.0 * math.cos(ell / 2.0))
     angles = math.pi / 2.0 + (math.pi - ell) * np.arange(n)
     verts = rho * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return from_vertices(verts)
+    return _canonical(verts)
 
 
 def as_region(poly: ReuleauxPolygon) -> ArcRegion:
@@ -192,7 +191,9 @@ def _slide_vertex(verts: np.ndarray, k: int, eps: float) -> np.ndarray:
     """Slide P_k by eps along the arc centered at P_{k-1}; recompute P_{k+1}.
 
     P_{k+1} is the unit-circle intersection (about the new P_k and the old
-    P_{k+2}) nearest its previous position. No validation here.
+    P_{k+2}) nearest its previous position. Up to rounding, the new P_k is
+    at unit distance from P_{k-1} and the new P_{k+1} from P_k and P_{k+2},
+    or GeometryError is raised; so callers check only the arc lengths.
     """
     n = len(verts)
     km1, kp1, kp2 = (k - 1) % n, (k + 1) % n, (k + 2) % n
@@ -231,8 +232,7 @@ def random_polygon(N: int, steps: int, seed: int) -> ReuleauxPolygon:
         eps = float(rng.uniform(-0.02, 0.02))
         try:
             cand = _slide_vertex(verts, k, eps)
-            _check_neighbours(cand)
-            _check_vertices(cand, _angles_of(cand)[2], MIN_ARC)
+            _check_arcs(_angles_of(cand)[2], MIN_ARC)
         except (GeometryError, InvalidPolygon):
             continue
         verts = cand

@@ -13,6 +13,7 @@ import numpy as np
 from reuleaux.arcs import (TANGENCY_TOL, ArcRegion, CircArc,
                            EmptyIntersectionError, GeometryError, Point,
                            min_enclosing_circle)
+from reuleaux.polygon import MIN_ARC, _slide_vertex, regular
 
 
 def mc_area_disks(centers, radius: float, n: int = 400_000,
@@ -151,6 +152,30 @@ def reuleaux_faults(vertices, min_arc: float = 0.0,
     if far_pairs(pts, tol):
         faults.add("width")
     return faults
+
+
+def naive_walk(N: int, steps: int, seed: int) -> np.ndarray:
+    """The vertices of random_polygon's walk, before the canonical frame.
+
+    The same loop, random draws and slides as the library, but a move is
+    accepted only when reuleaux_faults, the full pairwise definition with
+    arcs above MIN_ARC, finds nothing wrong with it.
+    """
+    verts = np.array(regular(N).vertices)
+    if N == 1:
+        return verts
+    rng = np.random.default_rng(seed)
+    n = len(verts)
+    for _ in range(steps):
+        k = int(rng.integers(n))
+        eps = float(rng.uniform(-0.02, 0.02))
+        try:
+            cand = _slide_vertex(verts, k, eps)
+        except GeometryError:
+            continue
+        if not reuleaux_faults(cand, MIN_ARC):
+            verts = cand
+    return verts
 
 
 def naive_disk_intersection(centers, radius: float):

@@ -47,6 +47,15 @@ class TestCheeger:
         assert svg.count("<path") == 3
         assert 'viewBox="0 0 1000 1000"' in svg
 
+    @pytest.mark.parametrize("target", ["dir", "missing/x.svg"])
+    def test_unwritable_svg_exits_2(self, tmp_path, target):
+        path = tmp_path if target == "dir" else tmp_path / target
+        res = run("cheeger", "--regular", "1", "--svg", str(path))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: cannot write SVG")
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
     def test_input_file(self, tmp_path):
         first = run("cheeger", "--regular", "2")
         from reuleaux import polygon_to_json, regular
@@ -173,6 +182,19 @@ class TestOptimize:
         assert data["outcome"] == "boundary"
         hs = [s["h"] for s in data["steps"]]
         assert all(b >= a - 1e-14 for a, b in zip(hs, hs[1:]))
+
+    def test_zero_iters(self):
+        res = run("optimize", "--regular", "2", "--iters", "0")
+        assert res.returncode == 0
+        assert "0 accepted moves" in res.stderr
+
+    @pytest.mark.parametrize("iters", ["-3", "x"])
+    def test_bad_iters_exits_2(self, iters):
+        res = run("optimize", "--regular", "2", "--iters", iters)
+        assert res.returncode == 2
+        assert "--iters" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
 
     def test_csv_trajectory(self):
         res = run("optimize", "--regular", "1", "--iters", "2")

@@ -62,6 +62,11 @@ class TestRegular:
         with pytest.raises(ValueError):
             regular(0)
 
+    @pytest.mark.parametrize("N", [*range(1, 10), 40, 500])
+    def test_passes_from_vertices(self, N):
+        # regular builds its vertices without the entry check
+        from_vertices(regular(N).vertices)
+
 
 class TestFromVertices:
     def test_round_trip(self):

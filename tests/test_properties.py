@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_mec, far_pairs, naive_disk_intersection,
-                     reuleaux_faults)
+                     naive_walk, reuleaux_faults)
 from reuleaux import (GeometryError, InvalidPolygon, area, cheeger_radius,
                       cheeger_set, deform, disk_intersection, from_vertices,
                       inner_parallel, min_enclosing_circle,
@@ -17,9 +17,9 @@ from reuleaux import (GeometryError, InvalidPolygon, area, cheeger_radius,
                       region_from_json, region_to_json, regular,
                       upper_bounds)
 from reuleaux.cheeger import bisect_root
-from reuleaux.polygon import (MIN_ARC, WidthError, _angles_of,
-                              _check_neighbours, _check_vertices, _far_pair,
-                              _slide_vertex, as_region)
+from reuleaux.polygon import (MIN_ARC, WidthError, _angles_of, _canonical,
+                              _check_arcs, _far_pair, _slide_vertex,
+                              as_region)
 
 polys = st.builds(random_polygon,
                   N=st.integers(min_value=1, max_value=5),
@@ -116,9 +116,9 @@ def _agrees(err: InvalidPolygon | None, faults: set[str]) -> bool:
        st.integers(min_value=0), st.floats(min_value=1e-3, max_value=0.2))
 def test_vertex_check_matches_reference(p, how, i, push):
     # one vertex pushed outward, one arc shrunk below MIN_ARC by a Blaschke
-    # slide, or the order reversed; the library's one vertex check must agree
-    # with the naive pairwise definition, both as from_vertices (no arc
-    # floor) and as the random walk calls it (arcs above MIN_ARC)
+    # slide, or the order reversed; from_vertices (no arc floor) must agree
+    # with the naive pairwise definition on all of them, and the walk's arc
+    # check (arcs above MIN_ARC) on the slides, the only moves the walk makes
     v = np.array(p.vertices)
     k = i % p.n
     if how == "push":
@@ -131,16 +131,11 @@ def test_vertex_check_matches_reference(p, how, i, push):
             assume(False)
     elif how == "reverse":
         v = v[::-1]
-    js = _angles_of(v)[2]
-
-    def walk_check():
-        _check_neighbours(v)
-        _check_vertices(v, js, MIN_ARC)
-
-    for min_arc, call in ((0.0, lambda: from_vertices(v)),
-                          (MIN_ARC, walk_check)):
-        err = _check_outcome(call)
-        assert _agrees(err, reuleaux_faults(v, min_arc)), (how, min_arc, err)
+    err = _check_outcome(lambda: from_vertices(v))
+    assert _agrees(err, reuleaux_faults(v)), (how, err)
+    if how in ("none", "shrink"):
+        err = _check_outcome(lambda: _check_arcs(_angles_of(v)[2], MIN_ARC))
+        assert _agrees(err, reuleaux_faults(v, MIN_ARC)), (how, err)
     if how == "reverse":
         assert "clockwise" in str(_check_outcome(lambda: from_vertices(v)))
     far = _far_pair(v)
@@ -148,6 +143,36 @@ def test_vertex_check_matches_reference(p, how, i, push):
     assert (far is None) == (not want)
     if far is not None:
         assert far[:2] == want[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.tuples(st.integers(min_value=1, max_value=6),
+              st.integers(min_value=0, max_value=60),
+              st.integers(min_value=0, max_value=10_000)),
+    st.tuples(st.just(20), st.integers(min_value=0, max_value=60),
+              st.integers(min_value=0, max_value=3))))
+def test_walk_matches_naive_walk(walk):
+    # the walk checks only the arcs of its slides; accepting a move only
+    # when the full pairwise definition holds must give the same polygon
+    got = random_polygon(*walk).vertices
+    want = naive_walk(*walk)
+    if walk[0] > 1:  # a triangle is returned as regular(1), not re-centred
+        want = _canonical(want).vertices
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, st.integers(min_value=0),
+       st.floats(min_value=-1.5, max_value=1.5))
+def test_deform_outputs_are_reuleaux(p, i, eps):
+    # deform checks only the arcs of its slide; what it returns must still
+    # be a width-one Reuleaux vertex set by the pairwise definition
+    try:
+        q = deform(p, i % p.n, eps)
+    except ValueError:  # a triangle, or an arc would collapse
+        assume(False)
+    assert reuleaux_faults(q.vertices) == set()
 
 
 @pytest.mark.parametrize("k,push", [(70, 1.05), (72, 1.02)])
