@@ -10,8 +10,8 @@ from .blaschke import (ArcCollapseError, AuxParams, DeformationTrajectory,
                        aux_U, deform, local_maximize, normal_speed,
                        optimality_residual, residual_norm, shape_derivative,
                        trajectory_csv)
-from .bounds import (BoundsRow, EndgameItem, endgame_checks, f2_argmax, F2,
-                     hmax_of_tau, inradius_lower_bound, lastestimate,
+from .bounds import (BoundsRow, f2_argmax, F2, hmax_of_tau,
+                     inradius_lower_bound, lastestimate,
                      many_arc_inradius_floor, minr_worstcase,
                      pentagon_inradius_floor, table1, table1_check, table1_csv,
                      table_row, tau_of_h)
@@ -20,12 +20,11 @@ from .cheeger import (CheegerSolution, EmptyContactError, bisect_root,
                       disk_cheeger_radius, inner_parallel,
                       triangle_closed_form, triangle_inner_area, upper_bounds)
 from .minarea import (MinAreaShape, band_of, ell, min_area, min_area_inverse,
-                      profile, profile_csv, regular_inradius)
-from .polygon import (ContactDeficitError, DegenerateSectorError,
-                      InvalidPolygon, ReuleauxPolygon, Sector, as_region,
-                      contact_points, from_vertices, inradius_from_sector,
-                      polygon_csv, polygon_from_json, polygon_to_json,
-                      random_polygon, regular, sector_length_lower_bound,
-                      sectors)
+                      profile, regular_inradius)
+from .polygon import (ContactDeficitError, InvalidPolygon, ReuleauxPolygon,
+                      Sector, as_region, contact_points, from_vertices,
+                      inradius_from_sector, polygon_from_json,
+                      polygon_to_json, random_polygon, regular,
+                      sector_length_lower_bound, sectors)
 
 __version__ = "0.1.0"

@@ -3,9 +3,10 @@
 The chain of estimates pinning the Reuleaux triangle as the maximizer runs
 through: a decay rate tau for consecutive arc lengths of critical polygons,
 per-N caps on the largest arc (the fixed-point table), a lower bound on the
-inradius of any near-maximizer, and endgame checks ruling out polygons with
-five or more arcs. All numeric constants live here; nothing downstream
-re-types their digits.
+inradius of any near-maximizer, and endgame estimates ruling out polygons
+with five or more arcs. All numeric constants live here; nothing downstream
+re-types their digits. This module computes; `verify` compares each bound
+with its threshold.
 """
 from __future__ import annotations
 
@@ -189,7 +190,7 @@ def minr_worstcase() -> float:
                                         WORST_U_OVER_SIN, WORST_INV_SIN)
 
 
-# --- endgame scalar checks ---------------------------------------------------
+# --- endgame scalar estimates ------------------------------------------------
 
 def pentagon_inradius_floor() -> float:
     """Floor for pentagon inradii via the tangent-arc identity r = 1 - 1/(2 cos(j/2))."""
@@ -228,45 +229,3 @@ def f2_argmax() -> float:
     a, b, c = 4.0 * c4, 3.0 * c3, 2.0 * c2
     disc = b * b - 4.0 * a * c
     return (-b - math.sqrt(disc)) / (2.0 * a)
-
-
-@dataclass(frozen=True)
-class EndgameItem:
-    name: str
-    value: float
-    bound: float
-    passed: bool
-
-
-def endgame_checks() -> list[EndgameItem]:
-    """The scalar inequalities that close the classification, one row each."""
-    items: list[EndgameItem] = []
-
-    v = pentagon_inradius_floor()
-    items.append(EndgameItem("pentagon_floor", v, PENTAGON_FLOOR,
-                             v > PENTAGON_FLOOR))
-    v = many_arc_inradius_floor()
-    items.append(EndgameItem("many_arc_floor", v, MANY_ARC_FLOOR,
-                             v > MANY_ARC_FLOOR))
-    v = minr_worstcase()
-    items.append(EndgameItem("minr", v, INRADIUS_CAP, v > INRADIUS_CAP))
-
-    lo = coeff_of_R(R_BAND[0])
-    hi = coeff_of_R(R_BAND[1])
-    items.append(EndgameItem("coeff_band_low", lo, COEFF_BAND[0],
-                             lo >= COEFF_BAND[0]))
-    items.append(EndgameItem("coeff_band_high", hi, COEFF_BAND[1],
-                             hi <= COEFF_BAND[1]))
-
-    u_star = f2_argmax()
-    in_window = F2_ARGMAX_WINDOW[0] <= u_star <= F2_ARGMAX_WINDOW[1]
-    items.append(EndgameItem("f2_argmax", u_star, F2_ARGMAX_WINDOW[1], in_window))
-    v = F2(u_star)
-    items.append(EndgameItem("f2_max", v, F2_MAX_CAP, v < F2_MAX_CAP))
-
-    for N, t0, t1, floor in LASTESTIMATE_CASES:
-        tau, h_max, h_min = TABLE1_REFERENCE[N]
-        v = lastestimate(t0, t1, tau, h_max, h_min)
-        items.append(EndgameItem(f"lastestimate_N{N}_t{t0:.4f}", v, floor,
-                                 v > floor))
-    return items

@@ -2,7 +2,7 @@
 
 Subcommands: cheeger (solve one polygon), table1 (the decay table),
 verify (named acceptance checks), optimize (greedy Blaschke ascent).
-Exit codes: 0 success, 2 invalid input, 3 verification failure.
+Exit codes: 0 success, 1 closed output pipe, 2 invalid input, 3 failed check.
 Outputs are deterministic: the same invocation produces identical bytes.
 """
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -215,10 +216,16 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except (SystemExit2, InvalidPolygon, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away: silence the interpreter's final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

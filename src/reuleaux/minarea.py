@@ -15,19 +15,9 @@ import numpy as np
 
 from .arcs import SQRT3, GeometryError
 from .cheeger import bisect_root
-from .polygon import ReuleauxPolygon, from_vertices, regular
+from .polygon import ReuleauxPolygon, ell, from_vertices, regular
 
 R_TRIANGLE = 1.0 - 1.0 / SQRT3
-
-
-def ell(r: float) -> float:
-    """Arc length of a chamber tangent to the incircle at inradius r."""
-    if not 0.0 < r <= 0.5:
-        raise GeometryError(f"inradius {r} outside (0, 1/2]")
-    under = 4.0 * (1.0 - r) ** 2 - 1.0
-    if under < 0.0:
-        raise GeometryError(f"inradius {r} admits no tangent chamber")
-    return 2.0 * math.atan(math.sqrt(under))
 
 
 def regular_inradius(N: int) -> float:
@@ -145,10 +135,3 @@ def profile(r: float, tol: float = 1e-9) -> MinAreaShape:
     poly = _band_interior_polygon(r, N)
     return MinAreaShape(r=r, N=N, ell=l, x=x, a=a, b=b, area=A, polygon=poly)
 
-
-def profile_csv(rs) -> str:
-    lines = ["r,N,ell,x,a,b,area"]
-    for r in rs:
-        p = profile(r)
-        lines.append(f"{p.r!r},{p.N},{p.ell!r},{p.x!r},{p.a!r},{p.b!r},{p.area!r}")
-    return "\n".join(lines) + "\n"

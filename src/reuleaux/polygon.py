@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .arcs import (ArcRegion, GeometryError, Point, TAU, disk_intersection,
+from .arcs import (ArcRegion, GeometryError, TAU, disk_intersection,
                    min_enclosing_circle)
 
 # random-walk / optimizer floor for arc lengths
@@ -40,10 +40,6 @@ class WidthError(InvalidPolygon):
 
 class ContactDeficitError(GeometryError):
     """Fewer than three usable incircle contacts."""
-
-
-class DegenerateSectorError(GeometryError):
-    pass
 
 
 def _angles_of(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -119,10 +115,6 @@ class ReuleauxPolygon:
     def N(self) -> int:
         return (self.n - 1) // 2
 
-    def vertex(self, k: int) -> Point:
-        v = self.vertices[k % self.n]
-        return Point(v[0], v[1])
-
 
 def _canonical(verts: np.ndarray) -> ReuleauxPolygon:
     # the polygon moved so its incenter (the centre of its minimal enclosing
@@ -172,9 +164,9 @@ def regular(N: int) -> ReuleauxPolygon:
     if N < 1:
         raise VertexCountError("N must be >= 1")
     n = 2 * N + 1
-    ell = math.pi / n
-    rho = 1.0 / (2.0 * math.cos(ell / 2.0))
-    angles = math.pi / 2.0 + (math.pi - ell) * np.arange(n)
+    j = math.pi / n
+    rho = 1.0 / (2.0 * math.cos(j / 2.0))
+    angles = math.pi / 2.0 + (math.pi - j) * np.arange(n)
     verts = rho * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     return _canonical(verts)
 
@@ -364,13 +356,23 @@ def inradius_from_sector(sector: Sector) -> float:
     """
     sinu = math.sin(sector.u)
     if abs(sinu) < 1e-12:
-        raise DegenerateSectorError(f"sector length {sector.u} too close to 0 or pi")
+        raise GeometryError(f"sector length {sector.u} too close to 0 or pi")
     rot = math.pi / 2.0 - (sector.end_contact + math.pi)
     acc = 0.0
     for idx, x in enumerate(sector.interior_angles):
         sign = 1.0 if idx % 2 == 0 else -1.0
         acc += sign * math.cos(x + rot)
     return 1.0 - acc / sinu
+
+
+def ell(r: float) -> float:
+    """Arc length of a chamber tangent to the incircle at inradius r."""
+    if not 0.0 < r <= 0.5:
+        raise GeometryError(f"inradius {r} outside (0, 1/2]")
+    under = 4.0 * (1.0 - r) ** 2 - 1.0
+    if under < 0.0:
+        raise GeometryError(f"inradius {r} admits no tangent chamber")
+    return 2.0 * math.atan(math.sqrt(under))
 
 
 def sector_length_lower_bound(r: float) -> float:
@@ -380,10 +382,8 @@ def sector_length_lower_bound(r: float) -> float:
     """
     if not 0.0 < r < 0.5:
         raise GeometryError(f"inradius {r} outside (0, 1/2)")
-    # ell: arc length of a regular-style tangent chamber at inradius r
-    ell = 2.0 * math.atan(math.sqrt(4.0 * (1.0 - r) ** 2 - 1.0))
     return 2.0 * (math.sqrt(1.0 - 2.0 * r)
-                  + r * (ell - math.acos(r / (1.0 - r))))
+                  + r * (ell(r) - math.acos(r / (1.0 - r))))
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +398,3 @@ def polygon_from_json(data: dict) -> ReuleauxPolygon:
         raise InvalidPolygon("polygon JSON needs an object with a 'vertices' key")
     return from_vertices(data["vertices"])
 
-
-def polygon_csv(poly: ReuleauxPolygon) -> str:
-    lines = ["k,alpha,beta,arc_length"]
-    for k in range(poly.n):
-        lines.append(f"{k},{poly.alphas[k]!r},{poly.betas[k]!r},"
-                     f"{poly.arc_lengths[k]!r}")
-    return "\n".join(lines) + "\n"

@@ -7,13 +7,14 @@ import time
 import numpy as np
 import pytest
 
-from reuleaux import (F2, cheeger_set, endgame_checks, f2_argmax, hmax_of_tau,
+from reuleaux import (F2, cheeger_set, f2_argmax, hmax_of_tau,
                       inradius_lower_bound, lastestimate,
                       many_arc_inradius_floor, minr_worstcase,
                       pentagon_inradius_floor, random_polygon, regular,
                       residual_norm, table1, table1_check, table1_csv,
                       table_row, tau_of_h)
-from reuleaux.bounds import TABLE1_REFERENCE, tau_of_h as _tau
+from reuleaux.bounds import (LASTESTIMATE_CASES, TABLE1_REFERENCE,
+                             tau_of_h as _tau)
 
 
 class TestRate:
@@ -104,22 +105,14 @@ class TestInradiusFloor:
 
 class TestLastEstimate:
     @pytest.mark.parametrize("t0,t1,N,want,floor", [
-        (math.pi / 2 - 1.1563, math.pi / 6, 4, 0.464898, 0.46),
-        (math.pi / 2 - 1.1538, math.pi / 6, 5, 0.444362, 0.44),
-        (1.1563 / 2, 1.0184, 5, 0.468299, 0.44),
-        (0.5619, 1.10505, 6, 0.454339, 0.45),
-    ])
+        (t0, t1, N, want, floor) for (N, t0, t1, floor), want in
+        zip(LASTESTIMATE_CASES, (0.464898, 0.444362, 0.468299, 0.454339),
+            strict=True)])
     def test_cases(self, t0, t1, N, want, floor):
         tau_ref, hmax_ref, hmin_ref = TABLE1_REFERENCE[N]
         v = lastestimate(t0, t1, tau_ref, hmax_ref, hmin_ref)
         assert abs(v - want) < 2e-4
         assert v > floor
-
-    def test_endgame_all_pass(self):
-        items = endgame_checks()
-        assert len(items) >= 10
-        for item in items:
-            assert item.passed, item
 
 
 class TestQuarticEnvelope:

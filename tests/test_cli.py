@@ -1,25 +1,41 @@
-"""Command line interface: formats, exit codes, determinism."""
+"""Command line interface: formats, exit codes, determinism.
+
+Most tests call `cli.main` in process; `spawn` runs the real
+`python -m reuleaux.cli` for what only a separate process shows.
+"""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from reuleaux import regular
+from reuleaux import cli, regular
 
 CLI = [sys.executable, "-m", "reuleaux.cli"]
 
 
-def run(*args, **kw):
-    return subprocess.run(CLI + list(args), capture_output=True,
-                          text=True, **kw)
+def run(*args) -> subprocess.CompletedProcess:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse: usage errors, --help
+            code = exc.code
+    return subprocess.CompletedProcess(list(args), code, out.getvalue(),
+                                       err.getvalue())
+
+
+def spawn(*args) -> subprocess.CompletedProcess:
+    return subprocess.run(CLI + list(args), capture_output=True, text=True)
 
 
 class TestCheeger:
     def test_regular_triangle_json(self):
-        res = run("cheeger", "--regular", "1")
+        res = spawn("cheeger", "--regular", "1")
         assert res.returncode == 0
         data = json.loads(res.stdout)
         assert 0.22802 <= data["R"] <= 0.22803
@@ -66,8 +82,8 @@ class TestCheeger:
         assert json.loads(res.stdout)["R"] == json.loads(first.stdout)["R"]
 
     def test_deterministic_bytes(self):
-        a = run("cheeger", "--random", "3,25,7")
-        b = run("cheeger", "--random", "3,25,7")
+        a = spawn("cheeger", "--random", "3,25,7")
+        b = spawn("cheeger", "--random", "3,25,7")
         assert a.stdout == b.stdout
 
     def test_even_vertex_count_exits_2(self, tmp_path):
@@ -85,7 +101,7 @@ class TestCheeger:
         assert res.returncode == 2
 
     def test_no_source_exits_2(self):
-        res = run("cheeger")
+        res = spawn("cheeger")
         assert res.returncode == 2
 
     @pytest.mark.parametrize("data,needle", [
@@ -130,6 +146,17 @@ class TestCheeger:
 
 
 class TestTable1:
+    def test_closed_pipe_exits_quietly(self):
+        # the reader closes its end while the child still imports numpy
+        proc = subprocess.Popen(CLI + ["table1"], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        proc.wait()
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
+
     def test_check_passes(self):
         res = run("table1", "--check")
         assert res.returncode == 0

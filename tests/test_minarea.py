@@ -9,7 +9,7 @@ import pytest
 from oracles import mc_area_region
 from reuleaux import (area, band_of, ell, min_area, min_area_inverse,
                       profile, random_polygon, regular, regular_inradius)
-from reuleaux.minarea import R_TRIANGLE, profile_csv
+from reuleaux.minarea import R_TRIANGLE
 from reuleaux.polygon import as_region
 
 SQRT3 = math.sqrt(3.0)
@@ -103,12 +103,6 @@ class TestProfile:
             s = profile(r)
             total = (2 * s.N - 2) * s.ell + s.a + 2 * s.b
             assert abs(total - math.pi) < 1e-10
-
-    def test_csv(self):
-        text = profile_csv([0.44, 0.46])
-        lines = text.strip().splitlines()
-        assert lines[0] == "r,N,ell,x,a,b,area"
-        assert len(lines) == 3
 
 
 class TestLowerBound:

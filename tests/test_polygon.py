@@ -1,17 +1,18 @@
 """Reuleaux polygons: construction, random walks, contacts, sectors."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 
 import numpy as np
 import pytest
 
-from reuleaux import (contact_points, from_vertices, inradius_from_sector,
-                      random_polygon, regular, sector_length_lower_bound,
-                      sectors)
+from reuleaux import (GeometryError, contact_points, from_vertices,
+                      inradius_from_sector, random_polygon, regular,
+                      sector_length_lower_bound, sectors)
 from reuleaux.polygon import (AdjacencyError, VertexCountError, WidthError,
-                              polygon_csv, polygon_from_json, polygon_to_json)
+                              polygon_from_json, polygon_to_json)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -109,12 +110,6 @@ class TestFromVertices:
         q = polygon_from_json(polygon_to_json(p))
         assert np.max(np.abs(q.vertices - p.vertices)) < 1e-15
 
-    def test_csv_has_header_and_rows(self):
-        text = polygon_csv(regular(2))
-        lines = text.strip().splitlines()
-        assert lines[0] == "k,alpha,beta,arc_length"
-        assert len(lines) == 6
-
 
 class TestRandomWalk:
     def test_deterministic(self):
@@ -196,6 +191,11 @@ class TestSectors:
                 assert abs(inradius_from_sector(s) - p.inradius) < 1e-8
                 checked += 1
         assert checked >= 30
+
+    def test_degenerate_sector_raises(self):
+        s = dataclasses.replace(sectors(regular(2))[0], u=0.0)
+        with pytest.raises(GeometryError, match="too close to 0 or pi"):
+            inradius_from_sector(s)
 
 
 class TestSectorLengthBound:
