@@ -1,8 +1,10 @@
 """Command line interface.
 
 Subcommands: cheeger (solve one polygon), table1 (the decay table),
-verify (named acceptance checks), optimize (greedy Blaschke ascent).
-Exit codes: 0 success, 1 closed output pipe, 2 invalid input, 3 failed check.
+verify (named acceptance checks), optimize (greedy Blaschke ascent),
+sweep (verify's random walks as CSV), figures (SVG overlays to a directory).
+Exit codes: 0 success, 1 output not writable, 2 invalid input, 3 failed
+check; `sweep` exits 3 like a failed check when a walk beats the triangle.
 Outputs are deterministic: the same invocation produces identical bytes.
 """
 from __future__ import annotations
@@ -12,15 +14,18 @@ import json
 import math
 import os
 import sys
+import time
+from pathlib import Path
 
 from . import __version__
 from .arcs import GeometryError, svg_path_data
 from .blaschke import local_maximize, trajectory_csv
 from .bounds import table1, table1_check, table1_csv
 from .cheeger import CheegerSolution, cheeger_set
+from .minarea import profile
 from .polygon import (InvalidPolygon, ReuleauxPolygon, as_region,
                       polygon_from_json, random_polygon, regular)
-from .verify import CHECKS, run_checks
+from .verify import CHECKS, h_triangle, run_checks, sweep_walks
 
 SVG_SCALE = 420.0
 SVG_SIZE = 1000.0
@@ -151,6 +156,44 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+def cmd_sweep(args) -> int:
+    h_tri, best = h_triangle(), None
+    t0 = time.perf_counter()
+    print("seed,n_arcs,h,inradius,min_arc")
+    for seed, poly, R in sweep_walks(args.count):
+        h = 1.0 / R
+        print(f"{seed},{poly.n},{h!r},{poly.inradius!r},"
+              f"{float(poly.arc_lengths.min())!r}")
+        best = (seed, h, poly.n) if best is None or h > best[1] else best
+    print(f"# {args.count} polygons in {time.perf_counter() - t0:.1f}s",
+          file=sys.stderr)
+    top = ("no polygon made" if best is None else
+           f"max h = {best[1]:.9f} at seed {best[0]} ({best[2]} arcs)")
+    print(f"# {top}; triangle value {h_tri:.9f}", file=sys.stderr)
+    if best is not None and best[1] > h_tri + 1e-9:
+        print("# WARNING: a random polygon beat the triangle", file=sys.stderr)
+        return 3
+    return 0
+
+
+def cmd_figures(args) -> int:
+    figures = {name: _svg_overlay(poly, cheeger_set(poly)) for name, poly in [
+        ("triangle.svg", regular(1)),
+        ("pentagon.svg", regular(2)),
+        ("perturbed.svg", random_polygon(3, 40, seed=21))]}
+    figures["minarea_0.45.svg"] = _svg_overlay(profile(0.45).polygon)
+    outdir = Path(args.output_dir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, svg in figures.items():
+            (outdir / name).write_text(svg, encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit2(f"cannot write figures: {exc}")
+    for name in figures:
+        print(f"wrote {outdir / name}")
+    return 0
+
+
 def _nonnegative(kind):
     """argparse type: a finite number of the given kind, at least 0."""
     def parse(text: str):
@@ -209,6 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=_nonnegative(int), default=500)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_optimize)
+
+    p = sub.add_parser("sweep", help="verify's random walks as CSV")
+    p.add_argument("--count", type=_nonnegative(int), default=200,
+                   help="number of polygons (seeds 0..count-1)")
+    p.set_defaults(func=cmd_sweep)
+
+    p = sub.add_parser("figures", help="write four SVG overlays")
+    p.add_argument("--output-dir", default="figures")
+    p.set_defaults(func=cmd_figures)
     return ap
 
 
@@ -217,13 +269,15 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        sys.stdout.flush()  # a write error raises here, not at exit
         return code
     except (SystemExit2, InvalidPolygon, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader went away: silence the interpreter's final flush
+    except OSError as exc:  # stdout: a closed pipe, a full disk
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
+        # silence the interpreter's final flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 

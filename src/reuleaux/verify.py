@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .bounds import (COEFF_BAND, F2, F2_ARGMAX_WINDOW, F2_MAX_CAP,
                      H_TRIANGLE_FLOOR, INRADIUS_CAP, INRADIUS_FLOOR, R_BAND,
                      R_TRIANGLE_WINDOW, SECTOR_BAND, U_CUBIC_LOWER,
                      U_CUBIC_UPPER)
-from .polygon import as_region, regular, random_polygon, sectors
+from .polygon import (ReuleauxPolygon, as_region, regular, random_polygon,
+                      sectors)
 
 
 @dataclass
@@ -35,11 +36,15 @@ class CheckResult:
 
 
 class _Collector:
-    """Accumulates assertions for one check; never raises."""
+    """Accumulates assertions for one check and times it; never raises."""
 
     def __init__(self) -> None:
         self.passed = True
         self.lines: list[str] = []
+        self._t0 = time.perf_counter()
+
+    def elapsed(self) -> float:
+        return time.perf_counter() - self._t0
 
     def expect(self, ok: bool, line: str) -> None:
         if not ok:
@@ -48,6 +53,23 @@ class _Collector:
 
     def note(self, line: str) -> None:
         self.lines.append("     " + line)
+
+
+CHECKS: dict[str, Callable[[], CheckResult]] = {}
+
+
+def _check(body: Callable[[_Collector], str]) -> Callable[[], CheckResult]:
+    """Register `check_<name>` as <name>, in definition order. The body
+    records its expectations on `c` and returns its one-line message."""
+    name = body.__name__.removeprefix("check_")
+
+    def run() -> CheckResult:
+        c = _Collector()
+        message = body(c)
+        return CheckResult(name, c.passed, c.elapsed(), message, c.lines)
+
+    CHECKS[name] = run
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +104,7 @@ def _radial_area(vertices: np.ndarray, radius: float,
     return total
 
 
-def _region_radial_area(poly: polygon.ReuleauxPolygon) -> float:
+def _region_radial_area(poly: ReuleauxPolygon) -> float:
     region = as_region(poly)
     corners = np.array([math.atan2(a.start_point.y, a.start_point.x)
                         for a in region.arcs])
@@ -92,9 +114,8 @@ def _region_radial_area(poly: polygon.ReuleauxPolygon) -> float:
 # ---------------------------------------------------------------------------
 # checks, in acceptance order
 
-def check_triangle() -> CheckResult:
-    t0 = time.perf_counter()
-    c = _Collector()
+@_check
+def check_triangle(c: _Collector) -> str:
     r_solver = cheeger.cheeger_radius(regular(1), tol=1e-14)
     r_closed, h_closed = cheeger.triangle_closed_form(tol=1e-14)
     lo, hi = R_TRIANGLE_WINDOW
@@ -104,15 +125,13 @@ def check_triangle() -> CheckResult:
              f"|solver - closed| = {abs(r_solver - r_closed):.3e} <= 1e-9")
     c.expect(h_closed >= H_TRIANGLE_FLOOR,
              f"h = {h_closed!r} >= {H_TRIANGLE_FLOOR}")
-    dt = time.perf_counter() - t0
+    dt = c.elapsed()
     c.expect(dt < 1.0, f"runtime {dt:.3f}s < 1s")
-    return CheckResult("triangle", c.passed, dt,
-                       f"R = {r_closed:.12f}, h = {h_closed:.9f}", c.lines)
+    return f"R = {r_closed:.12f}, h = {h_closed:.9f}"
 
 
-def check_disk() -> CheckResult:
-    t0 = time.perf_counter()
-    c = _Collector()
+@_check
+def check_disk(c: _Collector) -> str:
     R = cheeger.disk_cheeger_radius(1.0, tol=1e-13)
     c.expect(abs(R - 0.25) <= 1e-10, f"unit disk R = {R!r}, |R - 1/4| <= 1e-10")
     c.expect(abs(1.0 / R - 4.0) <= 1e-9, f"unit disk h = {1.0 / R!r} ~ 4")
@@ -120,13 +139,11 @@ def check_disk() -> CheckResult:
         Rw = cheeger.disk_cheeger_radius(w, tol=1e-13)
         c.expect(abs(Rw - w / 4.0) <= 1e-10,
                  f"width {w} disk R = {Rw!r}, expected {w / 4.0}")
-    dt = time.perf_counter() - t0
-    return CheckResult("disk", c.passed, dt, f"R(unit disk) = {R!r}", c.lines)
+    return f"R(unit disk) = {R!r}"
 
 
-def check_table1() -> CheckResult:
-    t0 = time.perf_counter()
-    c = _Collector()
+@_check
+def check_table1(c: _Collector) -> str:
     rows = bounds.table1()
     mismatches = bounds.table1_check(rows)
     c.expect(not mismatches, "all 8 rows match the reference to 1e-3"
@@ -134,15 +151,13 @@ def check_table1() -> CheckResult:
     for row in rows:
         c.expect(abs(row.h_min - row.tau ** row.N * row.h_max) <= 1e-12,
                  f"N={row.N}: h_min = tau^N h_max to 1e-12")
-    dt = time.perf_counter() - t0
+    dt = c.elapsed()
     c.expect(dt < 0.1, f"runtime {dt:.4f}s < 0.1s")
-    return CheckResult("table1", c.passed, dt,
-                       f"8 rows recomputed, {len(mismatches)} mismatches", c.lines)
+    return f"8 rows recomputed, {len(mismatches)} mismatches"
 
 
-def check_radius_window() -> CheckResult:
-    t0 = time.perf_counter()
-    c = _Collector()
+@_check
+def check_radius_window(c: _Collector) -> str:
     r_tri = minarea.R_TRIANGLE
     r0 = minarea.min_area_inverse(math.pi / H_TRIANGLE_FLOOR)
     c.expect(INRADIUS_FLOOR <= r0 < INRADIUS_CAP,
@@ -153,14 +168,11 @@ def check_radius_window() -> CheckResult:
     c.expect(R_BAND[0] <= 0.5 * r_tri, f"R band floor <= r_tri/2 = {0.5 * r_tri!r}")
     c.expect(0.5 * r_tri <= R_closed, "r_tri/2 <= R(triangle)")
     c.expect(R_closed <= R_BAND[1], f"R(triangle) = {R_closed!r} <= {R_BAND[1]}")
-    dt = time.perf_counter() - t0
-    return CheckResult("radius_window", c.passed, dt,
-                       f"r0 = {r0:.10f}", c.lines)
+    return f"r0 = {r0:.10f}"
 
 
-def check_sector() -> CheckResult:
-    t0 = time.perf_counter()
-    c = _Collector()
+@_check
+def check_sector(c: _Collector) -> str:
     u_lb = polygon.sector_length_lower_bound(INRADIUS_CAP)
     c.expect(0.9925 <= u_lb <= 0.9927,
              f"sector floor at r = {INRADIUS_CAP}: {u_lb!r} in [0.9925, 0.9927]")
@@ -172,14 +184,11 @@ def check_sector() -> CheckResult:
     vals = [polygon.sector_length_lower_bound(float(r)) for r in grid]
     c.expect(all(b < a + 1e-12 for a, b in zip(vals, vals[1:])),
              "floor decreasing in r on the admissible range")
-    dt = time.perf_counter() - t0
-    return CheckResult("sector", c.passed, dt,
-                       f"floor = {u_lb:.8f}, complement = {u_max:.8f}", c.lines)
+    return f"floor = {u_lb:.8f}, complement = {u_max:.8f}"
 
 
-def check_minr() -> CheckResult:
-    t0 = time.perf_counter()
-    c = _Collector()
+@_check
+def check_minr(c: _Collector) -> str:
     v = bounds.minr_worstcase()
     c.expect(v > INRADIUS_CAP, f"worst-case inradius floor {v!r} > {INRADIUS_CAP}")
     c.expect(abs(v - 0.4309) <= 5e-4, f"floor {v!r} within 5e-4 of 0.4309")
@@ -189,33 +198,28 @@ def check_minr() -> CheckResult:
         for row in rows]
     c.expect(all(b > a for a, b in zip(floors, floors[1:])),
              f"floor grows with N: {[f'{f:.5f}' for f in floors]}")
-    dt = time.perf_counter() - t0
-    return CheckResult("minr", c.passed, dt, f"floor = {v:.8f}", c.lines)
+    return f"floor = {v:.8f}"
 
 
-def check_small_polygon() -> CheckResult:
-    t0 = time.perf_counter()
-    c = _Collector()
+@_check
+def check_small_polygon(c: _Collector) -> str:
     v5 = bounds.pentagon_inradius_floor()
     c.expect(v5 > bounds.PENTAGON_FLOOR,
              f"pentagon inradius floor {v5!r} > {bounds.PENTAGON_FLOOR}")
     v7 = bounds.many_arc_inradius_floor()
     c.expect(v7 > bounds.MANY_ARC_FLOOR,
              f"7-plus-arc inradius floor {v7!r} > {bounds.MANY_ARC_FLOOR}")
-    dt = time.perf_counter() - t0
-    return CheckResult("small_polygon", c.passed, dt,
-                       f"pentagon {v5:.6f}, many-arc {v7:.6f}", c.lines)
+    return f"pentagon {v5:.6f}, many-arc {v7:.6f}"
 
 
-def _fd_h(poly: polygon.ReuleauxPolygon, k: int, eps: float) -> float:
+def _fd_h(poly: ReuleauxPolygon, k: int, eps: float) -> float:
     hp = 1.0 / cheeger.cheeger_radius(blaschke.deform(poly, k, eps), tol=1e-15)
     hm = 1.0 / cheeger.cheeger_radius(blaschke.deform(poly, k, -eps), tol=1e-15)
     return (hp - hm) / (2.0 * eps)
 
 
-def check_derivative() -> CheckResult:
-    t0 = time.perf_counter()
-    c = _Collector()
+@_check
+def check_derivative(c: _Collector) -> str:
     rel5: list[float] = []
     rel4: list[float] = []
     for seed in range(100, 150):
@@ -235,15 +239,11 @@ def check_derivative() -> CheckResult:
     m5, m4 = float(np.median(rel5)), float(np.median(rel4))
     c.expect(m5 < m4,
              f"median error decreases under refinement: {m4:.3e} -> {m5:.3e}")
-    dt = time.perf_counter() - t0
-    return CheckResult("derivative", c.passed, dt,
-                       f"worst rel err {worst:.3e}, medians {m4:.2e}/{m5:.2e}",
-                       c.lines)
+    return f"worst rel err {worst:.3e}, medians {m4:.2e}/{m5:.2e}"
 
 
-def check_criticality() -> CheckResult:
-    t0 = time.perf_counter()
-    c = _Collector()
+@_check
+def check_criticality(c: _Collector) -> str:
     worst_reg = 0.0
     for N in range(1, 10):
         poly = regular(N)
@@ -256,31 +256,36 @@ def check_criticality() -> CheckResult:
                                  blaschke.AuxParams.from_polygon(bent, tol=1e-13))
     c.expect(res > 1e-5,
              f"perturbed pentagon: max residual {res:.6e} > 1e-5")
-    dt = time.perf_counter() - t0
-    return CheckResult("criticality", c.passed, dt,
-                       f"regular {worst_reg:.2e}, perturbed {res:.3e}", c.lines)
+    return f"regular {worst_reg:.2e}, perturbed {res:.3e}"
 
 
-def check_sweep() -> CheckResult:
-    t0 = time.perf_counter()
-    c = _Collector()
-    h_tri = 1.0 / cheeger.cheeger_radius(regular(1), tol=1e-14)
+def h_triangle() -> float:
+    """h(Reuleaux triangle) from the solver, the bar of the sweep."""
+    return 1.0 / cheeger.cheeger_radius(regular(1), tol=1e-14)
+
+
+def sweep_walks(count: int) -> Iterator[tuple[int, ReuleauxPolygon, float]]:
+    """The sweep's population: (seed, its random walk, its Cheeger radius)
+    for seeds 0..count-1: 3 to 13 arcs, 30, 37 or 44 walk steps."""
+    for seed in range(count):
+        poly = random_polygon(seed % 6 + 1, 30 + (seed * 7) % 21, seed)
+        yield seed, poly, cheeger.cheeger_radius(poly, tol=1e-12)
+
+
+@_check
+def check_sweep(c: _Collector) -> str:
+    h_tri = h_triangle()
     count = 1000
     worst_gap = math.inf     # h(triangle) - h over non-triangles
     h_at_tri = []
-    sector_slack = math.inf
-    area_slack = math.inf
-    inr_mismatch = 0.0
-    barbier = 0.0
+    sector_slack = area_slack = math.inf
+    inr_mismatch = barbier = 0.0
     fails: list[str] = []
-    for seed in range(count):
-        N = seed % 6 + 1
-        poly = random_polygon(N, 30 + (seed * 7) % 21, seed)
-        R = cheeger.cheeger_radius(poly, tol=1e-12)
+    for seed, poly, R in sweep_walks(count):
         h = 1.0 / R
         if h > h_tri + 1e-9:
             fails.append(f"seed {seed}: h = {h!r} exceeds triangle")
-        if N == 1:
+        if poly.n == 3:
             h_at_tri.append(h)
         else:
             worst_gap = min(worst_gap, h_tri - h)
@@ -313,16 +318,14 @@ def check_sweep() -> CheckResult:
              f"sector inradius identity, worst |diff| = {inr_mismatch:.2e}")
     c.expect(area_slack >= -1e-9,
              f"areas clear the minimal-area profile, min slack {area_slack:.3e}")
-    dt = time.perf_counter() - t0
+    dt = c.elapsed()
     c.expect(dt < 600.0, f"runtime {dt:.1f}s < 600s")
-    return CheckResult("sweep", c.passed, dt,
-                       f"{count} polygons, min gap {worst_gap:.2e}, "
-                       f"{len(h_at_tri)} triangles", c.lines)
+    return (f"{count} polygons, min gap {worst_gap:.2e}, "
+            f"{len(h_at_tri)} triangles")
 
 
-def check_minarea() -> CheckResult:
-    t0 = time.perf_counter()
-    c = _Collector()
+@_check
+def check_minarea(c: _Collector) -> str:
     r3 = minarea.regular_inradius(1)
     v = minarea.min_area(r3)
     want = 0.5 * (math.pi - SQRT3)
@@ -354,15 +357,11 @@ def check_minarea() -> CheckResult:
              f"continuity at band edges: worst jump {worst_jump:.3e} <= 1e-8")
     rt = minarea.min_area_inverse(math.pi / H_TRIANGLE_FLOOR)
     c.expect(rt < INRADIUS_CAP, f"inverse at pi/h(triangle): {rt!r} < {INRADIUS_CAP}")
-    dt = time.perf_counter() - t0
-    return CheckResult("minarea", c.passed, dt,
-                       f"quadrature diff {worst_quad:.2e}, edge jump "
-                       f"{worst_jump:.2e}", c.lines)
+    return f"quadrature diff {worst_quad:.2e}, edge jump {worst_jump:.2e}"
 
 
-def check_bands() -> CheckResult:
-    t0 = time.perf_counter()
-    c = _Collector()
+@_check
+def check_bands(c: _Collector) -> str:
     worst_lo = worst_hi = 0.0
     ok = True
     for R in (R_BAND[0], 0.5 * (R_BAND[0] + R_BAND[1]), R_BAND[1]):
@@ -397,19 +396,15 @@ def check_bands() -> CheckResult:
     coarse = np.linspace(0.0, 3.0, 3001)
     c.expect(float(F2(coarse).max()) <= v + 1e-9,
              "coarse scan of [0, 3] stays below the closed-form max")
-    dt = time.perf_counter() - t0
-    return CheckResult("bands", c.passed, dt,
-                       f"argmax {u_star:.9f}, max {v:.10f}", c.lines)
+    return f"argmax {u_star:.9f}, max {v:.10f}"
 
 
-def check_invariants() -> CheckResult:
-    t0 = time.perf_counter()
-    c = _Collector()
+@_check
+def check_invariants(c: _Collector) -> str:
     pool = [regular(N) for N in range(1, 10)]
     pool += [random_polygon(seed % 6 + 1, 25 + seed % 17, seed)
              for seed in range(2000, 2100)]
-    worst_barbier = 0.0
-    worst_steiner = 0.0
+    worst_barbier = worst_steiner = 0.0
     for poly in pool:
         region = as_region(poly)
         A, P = area(region), perimeter(region)
@@ -424,8 +419,7 @@ def check_invariants() -> CheckResult:
              f"Barbier over {len(pool)} polygons: worst {worst_barbier:.2e}")
     c.expect(worst_steiner <= 1e-9,
              f"Steiner identities: worst {worst_steiner:.2e}")
-    worst_comp = 0.0
-    worst_ratio = 0.0
+    worst_comp = worst_ratio = 0.0
     for poly in pool[:29]:  # all regulars plus twenty random draws
         sol = cheeger.cheeger_set(poly, tol=1e-12)
         Ai, Pi = area(sol.inner), perimeter(sol.inner)
@@ -439,35 +433,13 @@ def check_invariants() -> CheckResult:
              f"Cheeger set composition identities: worst {worst_comp:.2e}")
     c.expect(worst_ratio <= 1e-9,
              f"perimeter/area vs 1/R: worst relative {worst_ratio:.2e}")
-    dt = time.perf_counter() - t0
-    return CheckResult("invariants", c.passed, dt,
-                       f"{len(pool)} polygons, worst Steiner {worst_steiner:.2e}",
-                       c.lines)
+    return f"{len(pool)} polygons, worst Steiner {worst_steiner:.2e}"
 
-
-CHECKS: dict[str, Callable[[], CheckResult]] = {
-    "triangle": check_triangle,
-    "disk": check_disk,
-    "table1": check_table1,
-    "radius_window": check_radius_window,
-    "sector": check_sector,
-    "minr": check_minr,
-    "small_polygon": check_small_polygon,
-    "derivative": check_derivative,
-    "criticality": check_criticality,
-    "sweep": check_sweep,
-    "minarea": check_minarea,
-    "bands": check_bands,
-    "invariants": check_invariants,
-}
 
 
 def run_checks(names: list[str] | None = None) -> list[CheckResult]:
-    if names is None:
-        names = list(CHECKS)
-    results = []
+    names = list(CHECKS) if names is None else names
     for name in names:
         if name not in CHECKS:
             raise KeyError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
-        results.append(CHECKS[name]())
-    return results
+    return [CHECKS[name]() for name in names]

@@ -6,6 +6,9 @@ tolerance. Run with -v to get the per-criterion record.
 """
 from __future__ import annotations
 
+import pytest
+
+from reuleaux import verify
 from reuleaux.verify import run_checks
 
 
@@ -80,3 +83,19 @@ def test_criterion_12_interval_bands():
 def test_criterion_13_global_invariants():
     # Barbier, Steiner, and Cheeger composition identities on a mixed pool
     _run("invariants")
+
+
+ACCEPTANCE_ORDER = ["triangle", "disk", "table1", "radius_window", "sector",
+                    "minr", "small_polygon", "derivative", "criticality",
+                    "sweep", "minarea", "bands", "invariants"]
+
+
+def test_checks_registered_in_acceptance_order():
+    assert list(verify.CHECKS) == ACCEPTANCE_ORDER
+
+
+@pytest.mark.parametrize("name", ["triangle", "disk", "table1",
+                                  "radius_window", "sector", "minr",
+                                  "small_polygon", "criticality", "bands"])
+def test_check_result_carries_its_name(name):
+    assert run_checks([name])[0].name == name

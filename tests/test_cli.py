@@ -6,14 +6,16 @@ Most tests call `cli.main` in process; `spawn` runs the real
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from reuleaux import cli, regular
+from reuleaux import cheeger_set, cli, random_polygon, regular
 
 CLI = [sys.executable, "-m", "reuleaux.cli"]
 
@@ -29,8 +31,9 @@ def run(*args) -> subprocess.CompletedProcess:
                                        err.getvalue())
 
 
-def spawn(*args) -> subprocess.CompletedProcess:
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+def spawn(*args, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    return subprocess.run(CLI + list(args), stdout=stdout,
+                          stderr=subprocess.PIPE, text=True)
 
 
 class TestCheeger:
@@ -145,6 +148,21 @@ class TestCheeger:
         assert res.stdout == ""
 
 
+class TestOutputErrors:
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("args", [("verify", "--only", "triangle"),
+                                      ("table1",)])
+    def test_full_stdout_exits_1_with_one_line(self, args):
+        with open("/dev/full", "w") as full:
+            res = spawn(*args, stdout=full)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error:")
+        assert "No space left on device" in res.stderr
+        assert len(res.stderr.splitlines()) == 1
+
+
 class TestTable1:
     def test_closed_pipe_exits_quietly(self):
         # the reader closes its end while the child still imports numpy
@@ -227,3 +245,70 @@ class TestOptimize:
         res = run("optimize", "--regular", "1", "--iters", "2")
         lines = res.stdout.strip().splitlines()
         assert lines[0] == "iteration,k,eps,h,residual_max"
+
+
+class TestSweep:
+    def test_header_and_rows(self):
+        res = run("sweep", "--count", "12")
+        assert res.returncode == 0
+        assert "12 polygons in" in res.stderr
+        lines = res.stdout.splitlines()
+        assert lines[0] == "seed,n_arcs,h,inradius,min_arc"
+        assert len(lines) == 13
+
+    def test_population_pinned(self):
+        # the walk formula, written out here rather than taken from verify
+        rows = list(csv.reader(io.StringIO(run("sweep", "--count",
+                                               "12").stdout)))[1:]
+        for s in (0, 7, 11):
+            sol = cheeger_set(random_polygon(s % 6 + 1, 30 + (s * 7) % 21, s))
+            assert rows[s][0] == str(s)
+            assert rows[s][2] == repr(sol.h)
+
+    def test_zero_count(self):
+        res = run("sweep", "--count", "0")
+        assert res.returncode == 0
+        assert res.stdout == "seed,n_arcs,h,inradius,min_arc\n"
+        assert "no polygon made" in res.stderr
+
+    @pytest.mark.parametrize("count", ["-2", "1.5", "x"])
+    def test_bad_count_exits_2(self, count):
+        res = run("sweep", "--count", count)
+        assert res.returncode == 2
+        assert "--count" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+    def test_beaten_triangle_exits_3(self, monkeypatch):
+        monkeypatch.setattr(cli, "h_triangle", lambda: 4.0)
+        res = run("sweep", "--count", "2")
+        assert res.returncode == 3
+        assert "WARNING" in res.stderr
+
+
+class TestFigures:
+    def test_four_overlays(self, tmp_path):
+        res = run("figures", "--output-dir", str(tmp_path))
+        assert res.returncode == 0
+        names = ("triangle.svg", "pentagon.svg", "perturbed.svg",
+                 "minarea_0.45.svg")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+        for name in names:
+            svg = (tmp_path / name).read_text(encoding="utf-8")
+            assert svg.startswith("<svg")
+            # the overlays draw body, inner parallel body and Cheeger set
+            assert svg.count("<path") == (1 if name.startswith("minarea") else 3)
+
+    def test_missing_directory_created(self, tmp_path):
+        res = run("figures", "--output-dir", str(tmp_path / "a" / "b"))
+        assert res.returncode == 0
+        assert len(list((tmp_path / "a" / "b").iterdir())) == 4
+
+    @pytest.mark.parametrize("target", ["file", "file/sub"])
+    def test_unwritable_directory_exits_2(self, tmp_path, target):
+        (tmp_path / "file").write_text("")
+        res = run("figures", "--output-dir", str(tmp_path / target))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: cannot write")
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
