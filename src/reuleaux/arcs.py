@@ -262,15 +262,23 @@ def disk_intersection(centers: Iterable, radius: float) -> ArcRegion:
         full = CircArc(Point(pts[0][0], pts[0][1]), radius, 0.0, TAU)
         return ArcRegion(arcs=(full,))
 
-    cx, cy = mec_center.x, mec_center.y
-    lo, hi = _clip_intervals(pts, radius, (cx, cy))
+    return _clip_region(pts, radius, (mec_center.x, mec_center.y))
+
+
+def _clip_region(pts: np.ndarray, radius: float,
+                 o: tuple[float, float]) -> ArcRegion:
+    """The intersection of the disks B(P_i, radius), P_i the distinct rows of
+    pts, given a point o in their hull (as _clip_intervals needs) and of the
+    intersection's interior: its arcs, ordered by the angle of their
+    midpoints about o."""
+    lo, hi = _clip_intervals(pts, radius, o)
     arcs = [CircArc(Point(x, y), radius, a, b - a)
             for (x, y), a, b in zip(pts.tolist(), lo.tolist(), hi.tolist())
             if b - a > TANGENCY_TOL]
     if not arcs:
         # every circle clipped away yet the region is fat: cannot happen
         raise EmptyIntersectionError("no surviving boundary arcs")
-
+    cx, cy = o
     arcs.sort(key=lambda a: math.atan2(a.midpoint.y - cy, a.midpoint.x - cx))
     return ArcRegion(arcs=tuple(arcs))
 

@@ -96,9 +96,11 @@ def deform(poly: ReuleauxPolygon, k: int, eps: float) -> ReuleauxPolygon:
         raise ArcCollapseError(
             f"arc {(k - 1) % n} has length {js[(k - 1) % n]}, cannot shrink by {eps}")
     try:
-        verts = _slide_vertex(poly.vertices, k, eps)
+        pk, pk1 = _slide_vertex(poly.vertices.tolist(), k, eps)
     except GeometryError as exc:
         raise ArcCollapseError(str(exc)) from exc
+    verts = poly.vertices.copy()
+    verts[k], verts[(k + 1) % n] = pk, pk1
     cand = _canonical(verts)
     _check_arcs(cand.arc_lengths, 1e-12, ArcCollapseError)
     return cand

@@ -15,8 +15,9 @@ from typing import Callable
 import numpy as np
 
 from .arcs import (SQRT3, TANGENCY_TOL, TAU, ArcRegion, CircArc,
-                   GeometryError, Point, _clip_intervals, _wrap, area,
-                   disk_intersection, minkowski_disk_sum, perimeter)
+                   GeometryError, Point, _clip_intervals, _clip_region,
+                   _wrap, area, disk_intersection, minkowski_disk_sum,
+                   perimeter)
 from .polygon import ReuleauxPolygon
 
 
@@ -109,7 +110,9 @@ def cheeger_radius(poly: ReuleauxPolygon, tol: float = 1e-12) -> float:
 
 def cheeger_set(poly: ReuleauxPolygon, tol: float = 1e-12) -> CheegerSolution:
     R = cheeger_radius(poly, tol)
-    inner = inner_parallel(poly, R)
+    # inner_parallel without its MEC: the origin, the canonical polygon's
+    # incenter, is in the vertices' hull and inside the inner body
+    inner = _clip_region(poly.vertices, 1.0 - R, (0.0, 0.0))
     cset = minkowski_disk_sum(inner, R)
     contacts = []
     verts = poly.vertices

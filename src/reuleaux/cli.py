@@ -23,12 +23,23 @@ from .blaschke import local_maximize, trajectory_csv
 from .bounds import table1, table1_check, table1_csv
 from .cheeger import CheegerSolution, cheeger_set
 from .minarea import profile
-from .polygon import (InvalidPolygon, ReuleauxPolygon, as_region,
-                      polygon_from_json, random_polygon, regular)
+from .polygon import (InvalidPolygon, ReuleauxPolygon, VertexCountError,
+                      as_region, polygon_from_json, random_polygon, regular)
 from .verify import CHECKS, h_triangle, run_checks, sweep_walks
 
 SVG_SCALE = 420.0
 SVG_SIZE = 1000.0
+
+
+# The most arcs a polygon given on the command line may have. The clip
+# kernel holds about six (n, n) float arrays: at this cap `cheeger` and
+# `optimize` peak at 215-221 MiB resident (x86-64, numpy 2.4).
+MAX_ARCS = 2001
+
+
+def _check_arc_count(n: int) -> None:
+    if n > MAX_ARCS:
+        raise VertexCountError(f"{n} arcs; at most {MAX_ARCS} are accepted")
 
 
 def _load_polygon(args) -> ReuleauxPolygon:
@@ -36,6 +47,7 @@ def _load_polygon(args) -> ReuleauxPolygon:
     if len(picked) != 1:
         raise SystemExit2("pick exactly one of --regular, --random, --input")
     if args.regular is not None:
+        _check_arc_count(2 * args.regular + 1)
         return regular(args.regular)
     if args.random is not None:
         parts = args.random.split(",")
@@ -47,13 +59,16 @@ def _load_polygon(args) -> ReuleauxPolygon:
             raise SystemExit2(f"--random wants integers: {exc}")
         if steps < 0 or seed < 0:
             raise SystemExit2("--random wants steps >= 0 and seed >= 0")
+        _check_arc_count(2 * N + 1)
         return random_polygon(N, steps, seed)
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SystemExit2(f"cannot read polygon JSON: {exc}")
-    return polygon_from_json(data)
+    poly = polygon_from_json(data)
+    _check_arc_count(poly.n)
+    return poly
 
 
 class SystemExit2(Exception):

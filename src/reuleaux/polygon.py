@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -84,17 +85,19 @@ def _check_neighbours(verts: np.ndarray) -> None:
                              f"distance {float(gaps[k])!r}, expected 1")
 
 
-def _check_arcs(js: np.ndarray, min_arc: float,
+def _check_arcs(js, min_arc: float,
                 arc_error: type[Exception] = AdjacencyError) -> None:
-    """Raise arc_error unless arcs js are in (min_arc, pi) and sum to pi."""
+    """Raise arc_error unless arcs js (a list or an array) are in
+    (min_arc, pi) and sum to pi."""
     # with unit neighbours, such arcs close into a curve of constant width 1
-    if js.min() <= min_arc or js.max() >= math.pi:
-        if js.min() > math.pi:
+    lo, total = min(js), sum(js)
+    if lo <= min_arc or max(js) >= math.pi:
+        if lo > math.pi:
             raise arc_error("vertices are in clockwise order; "
                             "list them counterclockwise")
         raise arc_error(f"arc lengths outside ({min_arc:g}, pi)")
-    if abs(js.sum() - math.pi) > WIDTH_TOL:
-        raise arc_error(f"arc lengths sum to {float(js.sum())!r}, expected pi")
+    if abs(total - math.pi) > WIDTH_TOL:
+        raise arc_error(f"arc lengths sum to {float(total)!r}, expected pi")
 
 
 @dataclass(frozen=True)
@@ -159,8 +162,10 @@ def from_vertices(points) -> ReuleauxPolygon:
     return poly
 
 
+@lru_cache(maxsize=32)
 def regular(N: int) -> ReuleauxPolygon:
-    """Regular Reuleaux polygon with 2N+1 arcs, width one."""
+    """Regular Reuleaux polygon with 2N+1 arcs, width one (memoised: the
+    result is immutable)."""
     if N < 1:
         raise VertexCountError("N must be >= 1")
     n = 2 * N + 1
@@ -179,31 +184,50 @@ def as_region(poly: ReuleauxPolygon) -> ArcRegion:
 # ---------------------------------------------------------------------------
 # Blaschke vertex slide (geometric kernel; the public wrapper lives in blaschke)
 
-def _slide_vertex(verts: np.ndarray, k: int, eps: float) -> np.ndarray:
-    """Slide P_k by eps along the arc centered at P_{k-1}; recompute P_{k+1}.
+def _norm(x: float, y: float) -> float:
+    # numpy's 2-vector dot, as np.linalg.norm: it may round as fma(y, y, x*x),
+    # and x*x + y*y would move the slide's choices in the last bit
+    v = np.array((x, y))
+    return math.sqrt(v.dot(v))
 
-    P_{k+1} is the unit-circle intersection (about the new P_k and the old
-    P_{k+2}) nearest its previous position. Up to rounding, the new P_k is
-    at unit distance from P_{k-1} and the new P_{k+1} from P_k and P_{k+2},
-    or GeometryError is raised; so callers check only the arc lengths.
+
+def _slide_vertex(verts, k: int, eps: float) -> tuple[tuple[float, float],
+                                                      tuple[float, float]]:
+    """Slide P_k by eps along the arc centered at P_{k-1}; return the new
+    P_k and P_{k+1}, every other vertex stays.
+
+    verts is a sequence of n (x, y) float pairs. P_{k+1} is the unit-circle
+    intersection (about the new P_k and the old P_{k+2}) nearest its
+    previous position. Up to rounding, the new P_k is at unit distance from
+    P_{k-1} and the new P_{k+1} from P_k and P_{k+2}, or GeometryError is
+    raised; so callers check only the arc lengths, and of those only arcs
+    k-1, k, k+1 and k+2 (the arcs centred at or ending on a moved vertex)
+    change.
     """
     n = len(verts)
-    km1, kp1, kp2 = (k - 1) % n, (k + 1) % n, (k + 2) % n
-    out = np.array(verts, dtype=float)
-    d0 = verts[k] - verts[km1]
-    a0 = math.atan2(d0[1], d0[0])
-    out[k] = verts[km1] + np.array([math.cos(a0 + eps), math.sin(a0 + eps)])
-    chord = verts[kp2] - out[k]
-    d = np.linalg.norm(chord)
+    ax, ay = verts[k - 1]
+    px, py = verts[k]
+    ox, oy = verts[(k + 1) % n]
+    bx, by = verts[(k + 2) % n]
+    a0 = math.atan2(py - ay, px - ax)
+    px, py = ax + math.cos(a0 + eps), ay + math.sin(a0 + eps)
+    cx, cy = bx - px, by - py
+    d = _norm(cx, cy)
     if d >= 2.0 - 1e-12 or d <= 1e-12:
         raise GeometryError(f"no unit-circle intersection at separation {d!r}")
-    mid = 0.5 * (out[k] + verts[kp2])
+    mx, my = 0.5 * (px + bx), 0.5 * (py + by)
     h = math.sqrt(max(0.0, 1.0 - 0.25 * d * d))
-    perp = np.array([-chord[1], chord[0]]) / d
-    c1, c2 = mid + h * perp, mid - h * perp
-    old = verts[kp1]
-    out[kp1] = c1 if np.linalg.norm(c1 - old) <= np.linalg.norm(c2 - old) else c2
-    return out
+    ux, uy = -cy / d, cx / d
+    c1 = (mx + h * ux, my + h * uy)
+    c2 = (mx - h * ux, my - h * uy)
+    near = _norm(c1[0] - ox, c1[1] - oy) <= _norm(c2[0] - ox, c2[1] - oy)
+    return (px, py), c1 if near else c2
+
+
+def _arc_length(prv, p, nxt) -> float:
+    # arc of vertex p between its neighbours, as _angles_of computes it
+    return (math.atan2(prv[1] - p[1], prv[0] - p[0])
+            - math.atan2(nxt[1] - p[1], nxt[0] - p[0])) % TAU
 
 
 def random_polygon(N: int, steps: int, seed: int) -> ReuleauxPolygon:
@@ -211,24 +235,34 @@ def random_polygon(N: int, steps: int, seed: int) -> ReuleauxPolygon:
 
     Each step draws an arc index and a slide eps in [-0.02, 0.02] and applies
     it only if the result stays a width-one polygon with every arc > 0.01.
+    A slide at k moves P_k and P_{k+1} only, so a step recomputes arcs
+    k-1 .. k+2 and no other; the walk runs on Python floats and builds the
+    arrays once, for the canonical polygon it returns.
     A triangle admits no Blaschke move, so N = 1 returns regular(1) as is.
     """
     poly = regular(N)
     if N == 1:
         return poly
     rng = np.random.default_rng(seed)
-    verts = np.array(poly.vertices)
+    verts = poly.vertices.tolist()
+    js = poly.arc_lengths.tolist()
     n = len(verts)
     for _ in range(steps):
         k = int(rng.integers(n))
         eps = float(rng.uniform(-0.02, 0.02))
         try:
-            cand = _slide_vertex(verts, k, eps)
-            _check_arcs(_angles_of(cand)[2], MIN_ARC)
+            pk, pk1 = _slide_vertex(verts, k, eps)
+            # vertices k-2 .. k+3 after the slide; arc k-1+i is at w[i + 1]
+            w = (verts[k - 2], verts[k - 1], pk, pk1, verts[(k + 2) % n],
+                 verts[(k + 3) % n])
+            cand = js.copy()
+            for i in range(4):
+                cand[(k - 1 + i) % n] = _arc_length(w[i], w[i + 1], w[i + 2])
+            _check_arcs(cand, MIN_ARC)
         except (GeometryError, InvalidPolygon):
             continue
-        verts = cand
-    return _canonical(verts)
+        verts[k], verts[(k + 1) % n], js = pk, pk1, cand
+    return _canonical(np.array(verts))
 
 
 # ---------------------------------------------------------------------------

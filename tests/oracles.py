@@ -13,7 +13,7 @@ import numpy as np
 from reuleaux.arcs import (TANGENCY_TOL, ArcRegion, CircArc,
                            EmptyIntersectionError, GeometryError, Point,
                            min_enclosing_circle)
-from reuleaux.polygon import MIN_ARC, _slide_vertex, regular
+from reuleaux.polygon import MIN_ARC, regular
 
 
 def mc_area_disks(centers, radius: float, n: int = 400_000,
@@ -154,12 +154,41 @@ def reuleaux_faults(vertices, min_arc: float = 0.0,
     return faults
 
 
+def naive_slide(verts, k: int, eps: float) -> np.ndarray:
+    """The Blaschke slide at k on whole arrays: a new (n, 2) vertex array.
+
+    The library's earlier route, kept as its reference: P_k slides by eps
+    along the unit circle about P_{k-1}, and P_{k+1} becomes the unit-circle
+    intersection about the new P_k and P_{k+2} nearest its old position,
+    with every distance from np.linalg.norm.
+    """
+    verts = np.asarray(verts, dtype=float)
+    n = len(verts)
+    km1, kp1, kp2 = (k - 1) % n, (k + 1) % n, (k + 2) % n
+    out = np.array(verts)
+    d0 = verts[k] - verts[km1]
+    a0 = math.atan2(d0[1], d0[0])
+    out[k] = verts[km1] + np.array([math.cos(a0 + eps), math.sin(a0 + eps)])
+    chord = verts[kp2] - out[k]
+    d = np.linalg.norm(chord)
+    if d >= 2.0 - 1e-12 or d <= 1e-12:
+        raise GeometryError(f"no unit-circle intersection at separation {d!r}")
+    mid = 0.5 * (out[k] + verts[kp2])
+    h = math.sqrt(max(0.0, 1.0 - 0.25 * d * d))
+    perp = np.array([-chord[1], chord[0]]) / d
+    c1, c2 = mid + h * perp, mid - h * perp
+    old = verts[kp1]
+    out[kp1] = c1 if np.linalg.norm(c1 - old) <= np.linalg.norm(c2 - old) else c2
+    return out
+
+
 def naive_walk(N: int, steps: int, seed: int) -> np.ndarray:
     """The vertices of random_polygon's walk, before the canonical frame.
 
-    The same loop, random draws and slides as the library, but a move is
-    accepted only when reuleaux_faults, the full pairwise definition with
-    arcs above MIN_ARC, finds nothing wrong with it.
+    The same loop and random draws as the library, but each move is
+    naive_slide on the whole vertex array, and it is accepted only when
+    reuleaux_faults, the full pairwise definition with arcs above MIN_ARC,
+    finds nothing wrong with it.
     """
     verts = np.array(regular(N).vertices)
     if N == 1:
@@ -170,7 +199,7 @@ def naive_walk(N: int, steps: int, seed: int) -> np.ndarray:
         k = int(rng.integers(n))
         eps = float(rng.uniform(-0.02, 0.02))
         try:
-            cand = _slide_vertex(verts, k, eps)
+            cand = naive_slide(verts, k, eps)
         except GeometryError:
             continue
         if not reuleaux_faults(cand, MIN_ARC):

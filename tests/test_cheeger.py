@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import reuleaux.arcs as arcs_module
 import reuleaux.cheeger as cheeger_module
 from oracles import golden_min
 from reuleaux import (area, cheeger_radius, cheeger_set, contact_angles,
@@ -84,6 +85,23 @@ class TestSolver:
             sol = cheeger_set(p)
             ratio = perimeter(sol.cheeger_set) / area(sol.cheeger_set)
             assert abs(ratio - sol.h) < 1e-9 * sol.h
+
+    def test_inner_body_matches_inner_parallel(self, regular_pool):
+        # cheeger_set clips about the origin, inner_parallel (through
+        # disk_intersection) about the vertices' enclosing circle: the
+        # same arcs, bit for bit, for n = 3 .. 41
+        walks = [random_polygon(N, 40, seed=N) for N in range(2, 21)]
+        for p in regular_pool + walks:
+            sol = cheeger_set(p)
+            assert sol.inner == inner_parallel(p, sol.R), p.n
+
+    def test_solve_computes_no_enclosing_circle(self, monkeypatch):
+        def refuse(points):
+            raise AssertionError("min_enclosing_circle called")
+
+        p = random_polygon(3, 30, seed=1)
+        monkeypatch.setattr(arcs_module, "min_enclosing_circle", refuse)
+        assert cheeger_set(p).R == cheeger_radius(p)
 
     def test_golden_section_oracle(self):
         # independent route: minimize |inner area - pi R^2| by golden section

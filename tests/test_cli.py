@@ -148,6 +148,50 @@ class TestCheeger:
         assert res.stdout == ""
 
 
+class TestArcCap:
+    N_CAP = (cli.MAX_ARCS - 1) // 2
+
+    @staticmethod
+    def load(*args):
+        return cli._load_polygon(cli.build_parser().parse_args(
+            ["cheeger", *args]))
+
+    @staticmethod
+    def vertex_file(tmp_path, N):
+        f = tmp_path / "poly.json"
+        f.write_text(json.dumps({"vertices": regular(N).vertices.tolist()}))
+        return str(f)
+
+    def test_at_cap_loads(self, tmp_path):
+        N = self.N_CAP
+        assert self.load("--regular", str(N)).n == cli.MAX_ARCS
+        assert self.load("--random", f"{N},3,1").n == cli.MAX_ARCS
+        assert self.load("--input", self.vertex_file(tmp_path, N)).n \
+            == cli.MAX_ARCS
+
+    @pytest.mark.parametrize("source", ["--regular", "--random"])
+    def test_over_cap_refused_before_building(self, monkeypatch, source):
+        def refuse(*args):
+            raise AssertionError("built a polygon over the cap")
+
+        monkeypatch.setattr(cli, "regular", refuse)
+        monkeypatch.setattr(cli, "random_polygon", refuse)
+        N = self.N_CAP + 1
+        res = run("cheeger", source,
+                  str(N) if source == "--regular" else f"{N},3,1")
+        assert res.returncode == 2
+        assert res.stderr == (f"error: {cli.MAX_ARCS + 2} arcs; at most "
+                              f"{cli.MAX_ARCS} are accepted\n")
+        assert res.stdout == ""
+
+    def test_over_cap_input_exits_2(self, tmp_path):
+        res = run("optimize", "--input",
+                  self.vertex_file(tmp_path, self.N_CAP + 1))
+        assert res.returncode == 2
+        assert f"{cli.MAX_ARCS + 2} arcs" in res.stderr
+        assert res.stdout == ""
+
+
 class TestOutputErrors:
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")

@@ -63,6 +63,13 @@ class TestRegular:
         with pytest.raises(ValueError):
             regular(0)
 
+    def test_memoised_and_read_only(self):
+        # every walk from N starts at the one regular(N)
+        p = regular(3)
+        assert regular(3) is p
+        with pytest.raises(ValueError):
+            p.vertices[0, 0] = 0.0
+
     @pytest.mark.parametrize("N", [*range(1, 10), 40, 500])
     def test_passes_from_vertices(self, N):
         # regular builds its vertices without the entry check
