@@ -1,10 +1,10 @@
 """Planar constant-width bodies: Cheeger sets, Blaschke deformations, bounds."""
 from __future__ import annotations
 
-from .arcs import (ArcRegion, CircArc, EmptyIntersectionError, GeometryError,
-                   Point, RegionValidationError, area, disk_intersection,
-                   min_enclosing_circle, minkowski_disk_sum, perimeter,
-                   region_from_json, region_to_json)
+from .arcs import (ArcRegion, CircArc, GeometryError, Point,
+                   RegionValidationError, area, min_enclosing_circle,
+                   minkowski_disk_sum, perimeter, region_from_json,
+                   region_to_json)
 from .blaschke import (ArcCollapseError, AuxParams, DeformationTrajectory,
                        InvalidDeformation, TrajectoryStep, aux_F, aux_G, aux_H,
                        aux_U, deform, local_maximize, normal_speed,

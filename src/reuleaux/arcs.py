@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -29,10 +29,6 @@ class GeometryError(ValueError):
 
 class RegionValidationError(GeometryError):
     pass
-
-
-class EmptyIntersectionError(GeometryError):
-    """Raised when an intersection of disks has no points at all."""
 
 
 def _wrap(angle: float) -> float:
@@ -207,79 +203,39 @@ def min_enclosing_circle(points: Iterable) -> tuple[Point, float]:
 # ---------------------------------------------------------------------------
 # intersection of equal-radius disks
 
-def _clip_intervals(pts: np.ndarray, rho: float,
-                    o: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+def _clip_intervals(pts: np.ndarray,
+                    rho: float) -> tuple[np.ndarray, np.ndarray]:
     """Interval [lo_i, hi_i] of circle |x - P_i| = rho left inside every disk
     B(P_j, rho), empty if hi_i - lo_i <= 0. The centres pts (n, 2) must be
-    distinct and o in their hull: x on circle i in every disk has
-    (x - P_i).(P_j - P_i) > 0 for all j, so x - P_i is within pi/2 of o - P_i
-    and each theta_ij goes on its branch nearest P_i -> o. (If o = P_i, as
-    the MEC centre can be, circle i has no such x: o is in the others' hull.)
+    distinct with the origin in their hull: x on circle i in every disk has
+    (x - P_i).(P_j - P_i) > 0 for all j, so x - P_i is within pi/2 of -P_i
+    and each theta_ij goes on its branch nearest P_i -> origin.
     """
     dx, dy = (pts[None] - pts[:, None]).transpose(2, 0, 1)
     theta = np.arctan2(dy, dx)
     # points of circle i inside disk j: |s - theta_ij| <= delta_ij
     delta = np.arccos(np.minimum(np.hypot(dx, dy) / (2.0 * rho), 1.0))
-    ref = np.arctan2(o[1] - pts[:, 1], o[0] - pts[:, 0])[:, None]
+    # 0.0 - c, not -c: negation turns +0.0 into -0.0, and arctan2 would move
+    # that branch by 2 pi
+    ref = np.arctan2(0.0 - pts[:, 1], 0.0 - pts[:, 0])[:, None]
     theta += TAU * np.round((ref - theta) / TAU)
     np.fill_diagonal(delta, np.inf)
     return (theta - delta).max(axis=1), (theta + delta).min(axis=1)
 
 
-def disk_intersection(centers: Iterable, radius: float) -> ArcRegion:
-    """Intersection of disks B(c_k, radius), as an ArcRegion.
-
-    Raises EmptyIntersectionError when empty; returns a degenerate point
-    region when the intersection is a single point (within tangency tol).
-    Each circle contributes at most one arc, its interval from
-    _clip_intervals about the centres' minimal enclosing circle.
-    """
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise GeometryError(f"radius must be finite and positive, got {radius}")
-    raw = np.atleast_2d(np.asarray(list(centers), dtype=float))
-    if raw.ndim != 2 or raw.shape[1] != 2:
-        raise GeometryError("centers must be an (n, 2) array")
-    if not np.isfinite(raw).all():
-        raise GeometryError("non-finite disk center")
-    # drop duplicate centers, the first stays: identical disks add nothing
-    close = np.tril(np.hypot(*(raw[:, None] - raw).transpose(2, 0, 1)) <= 1e-14, -1)
-    keep = np.ones(len(raw), dtype=bool)
-    for j in np.flatnonzero(close.any(axis=1)):
-        keep[j] = not (close[j] & keep).any()
-    pts = raw[keep]
-    n = len(pts)
-
-    mec_center, mec_r = min_enclosing_circle(pts)
-    # nonempty iff some point is within `radius` of every center,
-    # i.e. the min-max distance (the MEC radius of the centers) is <= radius
-    if mec_r > radius + TANGENCY_TOL:
-        raise EmptyIntersectionError(
-            f"disks of radius {radius} around given centers have empty intersection")
-    if radius - mec_r <= TANGENCY_TOL:
-        return ArcRegion.degenerate(mec_center)
-
-    if n == 1:
-        full = CircArc(Point(pts[0][0], pts[0][1]), radius, 0.0, TAU)
-        return ArcRegion(arcs=(full,))
-
-    return _clip_region(pts, radius, (mec_center.x, mec_center.y))
-
-
-def _clip_region(pts: np.ndarray, radius: float,
-                 o: tuple[float, float]) -> ArcRegion:
+def _clip_region(pts: np.ndarray, radius: float) -> ArcRegion:
     """The intersection of the disks B(P_i, radius), P_i the distinct rows of
-    pts, given a point o in their hull (as _clip_intervals needs) and of the
+    pts, with the origin in their hull (as _clip_intervals needs) and in the
     intersection's interior: its arcs, ordered by the angle of their
-    midpoints about o."""
-    lo, hi = _clip_intervals(pts, radius, o)
+    midpoints about the origin."""
+    lo, hi = _clip_intervals(pts, radius)
     arcs = [CircArc(Point(x, y), radius, a, b - a)
             for (x, y), a, b in zip(pts.tolist(), lo.tolist(), hi.tolist())
             if b - a > TANGENCY_TOL]
     if not arcs:
         # every circle clipped away yet the region is fat: cannot happen
-        raise EmptyIntersectionError("no surviving boundary arcs")
-    cx, cy = o
-    arcs.sort(key=lambda a: math.atan2(a.midpoint.y - cy, a.midpoint.x - cx))
+        raise GeometryError("no surviving boundary arcs")
+    arcs.sort(key=lambda a: math.atan2(a.midpoint.y, a.midpoint.x))
     return ArcRegion(arcs=tuple(arcs))
 
 

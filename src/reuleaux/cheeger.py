@@ -16,9 +16,8 @@ import numpy as np
 
 from .arcs import (SQRT3, TANGENCY_TOL, TAU, ArcRegion, CircArc,
                    GeometryError, Point, _clip_intervals, _clip_region,
-                   _wrap, area, disk_intersection, minkowski_disk_sum,
-                   perimeter)
-from .polygon import ReuleauxPolygon
+                   _wrap, area, minkowski_disk_sum, perimeter)
+from .polygon import ReuleauxPolygon, as_region
 
 
 class EmptyContactError(GeometryError):
@@ -74,10 +73,14 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
 
 
 def inner_parallel(poly: ReuleauxPolygon, R: float) -> ArcRegion:
-    """Inner parallel body at depth R: intersection of disks of radius 1-R."""
-    if R < 0.0 or R > poly.inradius + 1e-12:
+    """Inner parallel body at depth R: intersection of disks of radius 1-R
+    about the vertices, clipped about the origin (the incenter); from depth
+    inradius on, the single point at the origin."""
+    if not 0.0 <= R <= poly.inradius + 1e-12:
         raise GeometryError(f"depth {R} outside [0, inradius]")
-    return disk_intersection(poly.vertices, 1.0 - R)
+    if poly.inradius - R <= TANGENCY_TOL:
+        return ArcRegion.degenerate(Point(0.0, 0.0))
+    return _clip_region(poly.vertices, 1.0 - R)
 
 
 def cheeger_radius(poly: ReuleauxPolygon, tol: float = 1e-12) -> float:
@@ -91,7 +94,7 @@ def cheeger_radius(poly: ReuleauxPolygon, tol: float = 1e-12) -> float:
     verts, lo, hi, R = poly.vertices, 0.0, poly.inradius, 0.5 * poly.inradius
     while True:
         rho = 1.0 - R
-        a, b = _clip_intervals(verts, rho, (0.0, 0.0))
+        a, b = _clip_intervals(verts, rho)
         live = b - a > TANGENCY_TOL
         a, b, (x, y) = a[live], b[live], verts[live].T
         # Green's theorem over the surviving arcs, as in arcs.area
@@ -110,9 +113,7 @@ def cheeger_radius(poly: ReuleauxPolygon, tol: float = 1e-12) -> float:
 
 def cheeger_set(poly: ReuleauxPolygon, tol: float = 1e-12) -> CheegerSolution:
     R = cheeger_radius(poly, tol)
-    # inner_parallel without its MEC: the origin, the canonical polygon's
-    # incenter, is in the vertices' hull and inside the inner body
-    inner = _clip_region(poly.vertices, 1.0 - R, (0.0, 0.0))
+    inner = inner_parallel(poly, R)
     cset = minkowski_disk_sum(inner, R)
     contacts = []
     verts = poly.vertices
@@ -181,7 +182,6 @@ def predicted_contact_end(poly: ReuleauxPolygon, R: float, l: int) -> float:
 
 def upper_bounds(poly: ReuleauxPolygon) -> tuple[float, float]:
     """Two elementary upper bounds for h: pi/|area| and 2/inradius."""
-    from .polygon import as_region
     return (math.pi / area(as_region(poly)), 2.0 / poly.inradius)
 
 

@@ -135,11 +135,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = args.only if args.only else None
-    try:
-        results = run_checks(names)
-    except KeyError as exc:
-        raise SystemExit2(str(exc))
+    results = run_checks(args.only)
     if args.format == "json":
         print(json.dumps([{"name": r.name, "passed": r.passed,
                            "runtime": round(r.runtime, 3),
@@ -255,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("verify", help="run named verification checks")
-    p.add_argument("--only", action="append", metavar="NAME",
+    p.add_argument("--only", action="append", choices=tuple(CHECKS),
+                   metavar="NAME",
                    help=f"run a subset (known: {', '.join(CHECKS)})")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--verbose", action="store_true",

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .arcs import (ArcRegion, GeometryError, TAU, disk_intersection,
+from .arcs import (ArcRegion, GeometryError, TAU, _clip_region,
                    min_enclosing_circle)
 
 # random-walk / optimizer floor for arc lengths
@@ -177,8 +177,9 @@ def regular(N: int) -> ReuleauxPolygon:
 
 
 def as_region(poly: ReuleauxPolygon) -> ArcRegion:
-    """The polygon as an intersection of unit disks centered at its vertices."""
-    return disk_intersection(poly.vertices, 1.0)
+    """The polygon as an intersection of unit disks centered at its vertices:
+    the inner parallel body at depth 0."""
+    return _clip_region(poly.vertices, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import blaschke, bounds, cheeger, minarea, polygon
-from .arcs import (SQRT3, area, disk_intersection, minkowski_disk_sum,
-                   perimeter)
+from .arcs import SQRT3, area, minkowski_disk_sum, perimeter
 from .bounds import (COEFF_BAND, F2, F2_ARGMAX_WINDOW, F2_MAX_CAP,
                      H_TRIANGLE_FLOOR, INRADIUS_CAP, INRADIUS_FLOOR, R_BAND,
                      R_TRIANGLE_WINDOW, SECTOR_BAND, U_CUBIC_LOWER,

@@ -10,9 +10,8 @@ import math
 
 import numpy as np
 
-from reuleaux.arcs import (TANGENCY_TOL, ArcRegion, CircArc,
-                           EmptyIntersectionError, GeometryError, Point,
-                           min_enclosing_circle)
+from reuleaux.arcs import (TANGENCY_TOL, ArcRegion, CircArc, GeometryError,
+                           Point, area, min_enclosing_circle)
 from reuleaux.polygon import MIN_ARC, regular
 
 
@@ -207,6 +206,10 @@ def naive_walk(N: int, steps: int, seed: int) -> np.ndarray:
     return verts
 
 
+class EmptyIntersectionError(GeometryError):
+    """An intersection of disks with no points at all."""
+
+
 def naive_disk_intersection(centers, radius: float):
     """Intersection of disks B(c_k, radius), clipped one disk at a time.
 
@@ -264,3 +267,26 @@ def naive_disk_intersection(centers, radius: float):
     cx, cy = mec_center.x, mec_center.y
     arcs.sort(key=lambda a: math.atan2(a.midpoint.y - cy, a.midpoint.x - cx))
     return ArcRegion(arcs=tuple(arcs))
+
+
+def assert_same_region(got, want, rho: float) -> None:
+    """got and want are one chain of arcs of radius rho, up to where the
+    chain starts (it moves when a midpoint sits at angle pi from the sort
+    centre, where atan2 jumps), with ends and areas within a few ulps; or
+    both a point, within 1e-12 of each other (the naive route puts it at
+    the centres' enclosing circle)."""
+    assert got.is_degenerate == want.is_degenerate
+    if got.is_degenerate:
+        assert math.hypot(got.point.x - want.point.x,
+                          got.point.y - want.point.y) <= 1e-12
+        return
+    arcs = list(got.arcs)
+    order = [a.center for a in arcs]
+    if want.arcs[0].center in order:
+        k = order.index(want.arcs[0].center)
+        arcs = arcs[k:] + arcs[:k]
+    assert [a.center for a in arcs] == [a.center for a in want.arcs]
+    for a, b in zip(arcs, want.arcs):
+        assert abs(math.remainder(a.start - b.start, 2.0 * math.pi)) <= 1e-12
+        assert abs(math.remainder(a.end - b.end, 2.0 * math.pi)) <= 1e-12
+    assert abs(area(got) - area(want)) <= 1e-12 * rho * rho

@@ -5,13 +5,11 @@ import math
 
 import pytest
 
-from oracles import brute_mec, mc_area_disks, mc_area_region
-from reuleaux import (ArcRegion, CircArc, EmptyIntersectionError,
-                      GeometryError, Point, RegionValidationError, area,
-                      disk_intersection, min_enclosing_circle,
-                      minkowski_disk_sum, perimeter, region_from_json,
-                      region_to_json)
-from reuleaux.cheeger import triangle_inner_area
+from oracles import brute_mec, mc_area_disks, naive_disk_intersection
+from reuleaux import (ArcRegion, CircArc, GeometryError, Point,
+                      RegionValidationError, area, inner_parallel,
+                      min_enclosing_circle, minkowski_disk_sum, perimeter,
+                      random_polygon, region_from_json, region_to_json)
 from reuleaux.polygon import as_region, regular
 
 TAU = 2.0 * math.pi
@@ -37,72 +35,55 @@ class TestAreaPerimeter:
         assert abs(area(region) - (math.pi - math.sqrt(3.0)) / 2.0) < 1e-12
         assert abs(perimeter(region) - math.pi) < 1e-12
 
-    def test_lens_two_unit_disks(self):
-        # centers distance 1 apart: area 2pi/3 - sqrt(3)/2, perimeter 4pi/3
-        region = disk_intersection([(0.0, 0.0), (1.0, 0.0)], 1.0)
-        want = 2.0 * math.pi / 3.0 - math.sqrt(3.0) / 2.0
-        assert abs(area(region) - want) < 1e-12
-        assert abs(perimeter(region) - 4.0 * math.pi / 3.0) < 1e-12
-
-    def test_lens_against_monte_carlo(self):
-        region = disk_intersection([(0.0, 0.0), (0.8, 0.3)], 1.0)
-        mc = mc_area_region(region, n=800_000, seed=3)
-        assert abs(area(region) - mc) < 4e-3
-
-    def test_triangle_inner_parallel_area(self):
-        # disk_intersection at radius 1-R versus the closed-form expression
-        R = 0.3
-        region = disk_intersection(regular(1).vertices, 1.0 - R)
-        assert abs(area(region) - triangle_inner_area(R)) < 1e-9
 
 
 class TestDiskIntersection:
-    def test_single_center_is_full_disk(self):
-        region = disk_intersection([(0.2, 0.1)], 0.7)
-        assert len(region.arcs) == 1
-        assert abs(region.arcs[0].sweep - TAU) < 1e-12
-
-    def test_duplicate_centers_collapse(self):
-        region = disk_intersection([(0.0, 0.0), (0.0, 0.0)], 1.0)
-        assert abs(area(region) - math.pi) < 1e-12
-
+    # the library's disk intersections: the inner parallel bodies of a
+    # polygon, disks of radius 1 - R about its vertices, clipped about
+    # the origin
     def test_empty_raises(self):
-        with pytest.raises(EmptyIntersectionError):
-            disk_intersection([(0.0, 0.0), (5.0, 0.0)], 1.0)
+        p = regular(2)
+        with pytest.raises(GeometryError):
+            inner_parallel(p, p.inradius + 1e-9)
 
     def test_degenerate_single_point(self):
-        # two disks touching externally: intersection is one point
-        region = disk_intersection([(0.0, 0.0), (2.0, 0.0)], 1.0)
+        # at depth inradius the disks share one point, the incenter
+        p = random_polygon(3, 30, seed=1)
+        region = inner_parallel(p, p.inradius)
         assert region.is_degenerate
-        assert region.point is not None
-        assert abs(region.point.x - 1.0) < 1e-9
-        assert abs(region.point.y) < 1e-9
+        assert region.point == Point(0.0, 0.0)
         assert area(region) == 0.0
 
     def test_mc_cross_check_three_disks(self):
-        centers = [(0.0, 0.0), (0.9, 0.1), (0.4, 0.8)]
-        region = disk_intersection(centers, 1.0)
-        mc = mc_area_disks(centers, 1.0, n=800_000, seed=11)
+        p = random_polygon(1, 20, seed=4)
+        R = 0.1
+        region = inner_parallel(p, R)
+        mc = mc_area_disks(p.vertices, 1.0 - R, n=800_000, seed=11)
         assert abs(area(region) - mc) < 4e-3
 
     def test_redundant_disk_ignored(self):
-        # a disk covering the whole lens must not contribute an arc
-        tight = disk_intersection([(0.0, 0.0), (1.0, 0.0)], 1.0)
-        loose = disk_intersection([(0.0, 0.0), (1.0, 0.0), (0.5, 0.0)], 1.0)
-        assert abs(area(tight) - area(loose)) < 1e-12
-        assert len(loose.arcs) == 2
+        # deep inside, some disks cover the whole body and contribute no
+        # arc; the others alone cut out the same region
+        p = random_polygon(4, 40, seed=3)
+        R = 0.95 * p.inradius
+        region = inner_parallel(p, R)
+        assert len(region.arcs) < p.n
+        tight = naive_disk_intersection(
+            [(a.center.x, a.center.y) for a in region.arcs], 1.0 - R)
+        assert abs(area(tight) - area(region)) < 1e-12
 
     def test_boundary_points_on_some_circle(self):
-        region = disk_intersection([(0.0, 0.0), (0.9, 0.1), (0.4, 0.8)], 1.0)
+        p = random_polygon(2, 30, seed=8)
+        rho = 1.0 - 0.5 * p.inradius
+        region = inner_parallel(p, 0.5 * p.inradius)
         for arc in region.arcs:
             for t in (0.0, 0.5, 1.0):
-                p = arc.point_at(arc.start + t * arc.sweep)
-                # on its own circle and inside every other disk
-                d = math.hypot(p.x - arc.center.x, p.y - arc.center.y)
-                assert abs(d - 1.0) < 1e-12
-                for other in region.arcs:
-                    do = math.hypot(p.x - other.center.x, p.y - other.center.y)
-                    assert do <= 1.0 + 1e-9
+                q = arc.point_at(arc.start + t * arc.sweep)
+                # on its own circle and inside every disk
+                d = math.hypot(q.x - arc.center.x, q.y - arc.center.y)
+                assert abs(d - rho) < 1e-12
+                for x, y in p.vertices:
+                    assert math.hypot(q.x - x, q.y - y) <= rho + 1e-9
 
 
 class TestMinEnclosingCircle:
@@ -138,7 +119,7 @@ class TestMinkowski:
         assert abs(area(out) - area(region)) < 1e-14
 
     def test_degenerate_grows_to_disk(self):
-        region = disk_intersection([(0.0, 0.0), (2.0, 0.0)], 1.0)
+        region = ArcRegion.degenerate(Point(1.0, 0.0))
         out = minkowski_disk_sum(region, 0.4)
         assert abs(area(out) - math.pi * 0.16) < 1e-12
 
@@ -166,13 +147,14 @@ class TestMinkowski:
 
 class TestSerialization:
     def test_round_trip(self):
-        region = disk_intersection([(0.0, 0.0), (0.9, 0.1), (0.4, 0.8)], 1.0)
+        region = as_region(random_polygon(3, 30, 1))
         back = region_from_json(region_to_json(region))
         assert len(back.arcs) == len(region.arcs)
         assert abs(area(back) - area(region)) < 1e-15
 
     def test_degenerate_round_trip(self):
-        region = disk_intersection([(0.0, 0.0), (2.0, 0.0)], 1.0)
+        p = regular(2)
+        region = inner_parallel(p, p.inradius)
         back = region_from_json(region_to_json(region))
         assert back.is_degenerate
         assert abs(back.point.x - region.point.x) < 1e-15
@@ -257,11 +239,9 @@ class TestValidation:
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_disk_intersection(self, bad):
-        with pytest.raises(GeometryError):
-            disk_intersection([(0.0, 0.0), (bad, 0.0)], 1.0)
-        with pytest.raises(GeometryError):
-            disk_intersection([(0.0, 0.0), (0.5, 0.0)], bad)
+    def test_inner_parallel(self, bad):
+        with pytest.raises(GeometryError, match="depth"):
+            inner_parallel(regular(2), bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_minkowski_disk_sum(self, bad):

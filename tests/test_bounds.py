@@ -10,9 +10,8 @@ import pytest
 from reuleaux import (F2, cheeger_set, f2_argmax, hmax_of_tau,
                       inradius_lower_bound, lastestimate,
                       many_arc_inradius_floor, minr_worstcase,
-                      pentagon_inradius_floor, random_polygon, regular,
-                      residual_norm, table1, table1_check, table1_csv,
-                      table_row, tau_of_h)
+                      pentagon_inradius_floor, regular, residual_norm,
+                      table1, table1_check, table1_csv, table_row, tau_of_h)
 from reuleaux.bounds import (LASTESTIMATE_CASES, TABLE1_REFERENCE,
                              tau_of_h as _tau)
 

@@ -8,11 +8,13 @@ import pytest
 
 import reuleaux.arcs as arcs_module
 import reuleaux.cheeger as cheeger_module
-from oracles import golden_min
-from reuleaux import (area, cheeger_radius, cheeger_set, contact_angles,
-                      deform, disk_cheeger_radius, inner_parallel, perimeter,
-                      random_polygon, regular, triangle_closed_form,
-                      triangle_inner_area, upper_bounds)
+import reuleaux.polygon as polygon_module
+from oracles import assert_same_region, golden_min, naive_disk_intersection
+from reuleaux import (area, as_region, cheeger_radius, cheeger_set,
+                      contact_angles, deform, disk_cheeger_radius,
+                      inner_parallel, perimeter, random_polygon, regular,
+                      triangle_closed_form, triangle_inner_area,
+                      upper_bounds)
 from reuleaux.cheeger import (CheegerSolution, EmptyContactError, _u_shift,
                               bisect_root, predicted_contact_end,
                               predicted_contact_start)
@@ -87,21 +89,26 @@ class TestSolver:
             assert abs(ratio - sol.h) < 1e-9 * sol.h
 
     def test_inner_body_matches_inner_parallel(self, regular_pool):
-        # cheeger_set clips about the origin, inner_parallel (through
-        # disk_intersection) about the vertices' enclosing circle: the
-        # same arcs, bit for bit, for n = 3 .. 41
+        # the Cheeger set's inner body against the disk-by-disk clip at the
+        # solved depth, for n = 3 .. 41
         walks = [random_polygon(N, 40, seed=N) for N in range(2, 21)]
         for p in regular_pool + walks:
             sol = cheeger_set(p)
-            assert sol.inner == inner_parallel(p, sol.R), p.n
+            rho = 1.0 - sol.R
+            assert_same_region(sol.inner,
+                               naive_disk_intersection(p.vertices, rho), rho)
 
     def test_solve_computes_no_enclosing_circle(self, monkeypatch):
         def refuse(points):
             raise AssertionError("min_enclosing_circle called")
 
         p = random_polygon(3, 30, seed=1)
-        monkeypatch.setattr(arcs_module, "min_enclosing_circle", refuse)
+        for module in (arcs_module, polygon_module):
+            monkeypatch.setattr(module, "min_enclosing_circle", refuse)
         assert cheeger_set(p).R == cheeger_radius(p)
+        as_region(p)
+        for R in (0.0, 0.5 * p.inradius, p.inradius):
+            inner_parallel(p, R)
 
     def test_golden_section_oracle(self):
         # independent route: minimize |inner area - pi R^2| by golden section

@@ -255,6 +255,8 @@ class TestVerify:
     def test_unknown_name_exits_2(self):
         res = run("verify", "--only", "nonsense")
         assert res.returncode == 2
+        assert "'nonsense'" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 class TestOptimize:

@@ -1,0 +1,35 @@
+"""Source hygiene: no package module imports a name it never uses."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "reuleaux"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module-level imports of source and never read."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_unused_module_imports():
+    # __init__.py is skipped: its imports are the package's re-exports
+    found = {path.name: unused_imports(path.read_text())
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_finds_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import math\nimport numpy as np\nimport os.path\n"
+              "from typing import Iterable, Sequence\n"
+              "def f(x: Iterable) -> float:\n    return np.pi\n")
+    assert unused_imports(source) == ["math", "os", "Sequence"]

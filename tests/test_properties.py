@@ -8,10 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_mec, far_pairs, naive_disk_intersection,
-                     naive_walk, reuleaux_faults)
+from oracles import (assert_same_region, brute_mec, far_pairs,
+                     naive_disk_intersection, naive_walk, reuleaux_faults)
 from reuleaux import (GeometryError, InvalidPolygon, area, cheeger_radius,
-                      cheeger_set, deform, disk_intersection, from_vertices,
+                      cheeger_set, deform, from_vertices,
                       inner_parallel, min_enclosing_circle,
                       minkowski_disk_sum, perimeter, random_polygon,
                       region_from_json, region_to_json, regular,
@@ -234,41 +234,14 @@ def test_built_regions_pass_the_region_check(p, depth, rho):
         assert region_to_json(region_from_json(data)) == data
 
 
-def _outcome(call):
-    try:
-        return call()
-    except GeometryError as exc:
-        return type(exc)
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-                min_size=2, max_size=12),
-       st.floats(min_value=1.0 + 1e-9, max_value=3.0))
-def test_clip_kernel_matches_naive_clip(centers, factor):
-    # Centred on their minimal enclosing circle, so that every centre is
-    # within rho of the origin and both areas are good to a few ulps of rho^2
-    c, _ = min_enclosing_circle(centers)
-    centers = [(x - c.x, y - c.y) for x, y in centers]
-    rho = factor * min_enclosing_circle(centers)[1]
-    got = _outcome(lambda: disk_intersection(centers, rho))
-    want = _outcome(lambda: naive_disk_intersection(centers, rho))
-    if isinstance(got, type) or isinstance(want, type):
-        assert got is want
-        return
-    assert got.is_degenerate == want.is_degenerate
-    # the same chain; it may start elsewhere when a midpoint sits at angle pi
-    # from the sort centre, where atan2 jumps
-    arcs = list(got.arcs)
-    order = [a.center for a in arcs]
-    if want.arcs and want.arcs[0].center in order:
-        k = order.index(want.arcs[0].center)
-        arcs = arcs[k:] + arcs[:k]
-    assert [a.center for a in arcs] == [a.center for a in want.arcs]
-    for a, b in zip(arcs, want.arcs):
-        assert abs(math.remainder(a.start - b.start, 2.0 * math.pi)) <= 1e-12
-        assert abs(math.remainder(a.end - b.end, 2.0 * math.pi)) <= 1e-12
-    assert abs(area(got) - area(want)) <= 1e-12 * rho * rho
+@given(built_polys, st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_clip_kernel_matches_naive_clip(p, depth):
+    # the library clips about the origin (at depth 0 exactly as as_region
+    # does), the naive route disk by disk about the vertices' MEC
+    R = depth * p.inradius
+    assert_same_region(inner_parallel(p, R),
+                       naive_disk_intersection(p.vertices, 1.0 - R), 1.0 - R)
 
 
 @settings(max_examples=40, deadline=None)
