@@ -7,18 +7,15 @@ from .arcs import (ArcRegion, CircArc, GeometryError, Point,
                    region_to_json)
 from .blaschke import (ArcCollapseError, AuxParams, DeformationTrajectory,
                        InvalidDeformation, TrajectoryStep, aux_F, aux_G, aux_H,
-                       aux_U, deform, local_maximize, normal_speed,
-                       optimality_residual, residual_norm, shape_derivative,
-                       trajectory_csv)
-from .bounds import (BoundsRow, f2_argmax, F2, hmax_of_tau,
-                     inradius_lower_bound, lastestimate,
+                       aux_U, deform, local_maximize, optimality_residual,
+                       residual_norm, shape_derivative, trajectory_csv)
+from .bounds import (BoundsRow, f2_argmax, F2, hmax_of_tau, lastestimate,
                      many_arc_inradius_floor, minr_worstcase,
                      pentagon_inradius_floor, table1, table1_check, table1_csv,
                      table_row, tau_of_h)
-from .cheeger import (CheegerSolution, EmptyContactError, bisect_root,
-                      cheeger_radius, cheeger_set, contact_angles,
-                      disk_cheeger_radius, inner_parallel,
-                      triangle_closed_form, triangle_inner_area, upper_bounds)
+from .cheeger import (CheegerSolution, bisect_root, cheeger_radius,
+                      cheeger_set, disk_cheeger_radius, inner_parallel,
+                      triangle_closed_form, triangle_inner_area)
 from .minarea import (MinAreaShape, band_of, ell, min_area, min_area_inverse,
                       profile, regular_inradius)
 from .polygon import (ContactDeficitError, InvalidPolygon, ReuleauxPolygon,

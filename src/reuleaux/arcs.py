@@ -223,20 +223,23 @@ def _clip_intervals(pts: np.ndarray,
     return (theta - delta).max(axis=1), (theta + delta).min(axis=1)
 
 
-def _clip_region(pts: np.ndarray, radius: float) -> ArcRegion:
+def _clip_region(pts: np.ndarray,
+                 radius: float) -> tuple[ArcRegion, list[int]]:
     """The intersection of the disks B(P_i, radius), P_i the distinct rows of
     pts, with the origin in their hull (as _clip_intervals needs) and in the
     intersection's interior: its arcs, ordered by the angle of their
-    midpoints about the origin."""
+    midpoints about the origin, and the row of pts each arc is centred at."""
     lo, hi = _clip_intervals(pts, radius)
-    arcs = [CircArc(Point(x, y), radius, a, b - a)
-            for (x, y), a, b in zip(pts.tolist(), lo.tolist(), hi.tolist())
+    kept = [(i, CircArc(Point(x, y), radius, a, b - a))
+            for i, ((x, y), a, b) in enumerate(zip(pts.tolist(), lo.tolist(),
+                                                   hi.tolist()))
             if b - a > TANGENCY_TOL]
-    if not arcs:
+    if not kept:
         # every circle clipped away yet the region is fat: cannot happen
         raise GeometryError("no surviving boundary arcs")
-    arcs.sort(key=lambda a: math.atan2(a.midpoint.y, a.midpoint.x))
-    return ArcRegion(arcs=tuple(arcs))
+    kept.sort(key=lambda ia: math.atan2(ia[1].midpoint.y, ia[1].midpoint.x))
+    return (ArcRegion(arcs=tuple(arc for _, arc in kept)),
+            [i for i, _ in kept])
 
 
 def minkowski_disk_sum(region: ArcRegion, rho: float) -> ArcRegion:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arcs import GeometryError, TAU, area
+from .arcs import GeometryError, area
 from .cheeger import CheegerSolution, cheeger_radius, cheeger_set
 from .polygon import (InvalidPolygon, MIN_ARC, ReuleauxPolygon, _canonical,
                       _check_arcs, _slide_vertex)
@@ -104,26 +104,6 @@ def deform(poly: ReuleauxPolygon, k: int, eps: float) -> ReuleauxPolygon:
     cand = _canonical(verts)
     _check_arcs(cand.arc_lengths, 1e-12, ArcCollapseError)
     return cand
-
-
-def normal_speed(poly: ReuleauxPolygon, k: int, arc: int, s: float) -> float:
-    """Outward normal velocity of the boundary under the unit-rate move at k.
-
-    Nonzero only on arcs k and k+1; arcs k-1 and k+2 slide along themselves.
-    s must lie in the angular span of the queried arc.
-    """
-    n = poly.n
-    arc = arc % n
-    rel = (s - poly.alphas[arc]) % TAU
-    if rel > poly.arc_lengths[arc] + 1e-9 and rel < TAU - 1e-9:
-        raise GeometryError(f"angle {s} outside the span of arc {arc}")
-    if arc == k % n:
-        return math.sin(s - poly.alphas[(k - 1) % n])
-    if arc == (k + 1) % n:
-        ratio = math.sin(poly.arc_lengths[k % n]) / math.sin(
-            poly.arc_lengths[(k + 1) % n])
-        return -ratio * math.sin(s - poly.alphas[(k + 1) % n])
-    return 0.0
 
 
 def shape_derivative(poly: ReuleauxPolygon, k: int,

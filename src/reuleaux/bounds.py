@@ -172,14 +172,6 @@ def inradius_lower_bound_factors(h: float, tau: float, u_over_sinu: float,
             - h * h / 24.0 * u_over_sinu)
 
 
-def inradius_lower_bound(h: float, tau: float, u: float) -> float:
-    """Same floor evaluated at a concrete largest-sector length u."""
-    sinu = math.sin(u)
-    if sinu <= 0.0:
-        raise ValueError(f"sector length {u} outside (0, pi)")
-    return inradius_lower_bound_factors(h, tau, u / sinu, 1.0 / sinu)
-
-
 def minr_worstcase() -> float:
     """The floor at the reference 15-arc row with worst-case sector factors.
 

@@ -15,13 +15,9 @@ from typing import Callable
 import numpy as np
 
 from .arcs import (SQRT3, TANGENCY_TOL, TAU, ArcRegion, CircArc,
-                   GeometryError, Point, _clip_intervals, _clip_region,
-                   _wrap, area, minkowski_disk_sum, perimeter)
-from .polygon import ReuleauxPolygon, as_region
-
-
-class EmptyContactError(GeometryError):
-    """The requested arc contributes no contact interval to the Cheeger set."""
+                   GeometryError, Point, _clip_intervals, _clip_region, area,
+                   minkowski_disk_sum, perimeter)
+from .polygon import ReuleauxPolygon
 
 
 @dataclass(frozen=True)
@@ -80,7 +76,7 @@ def inner_parallel(poly: ReuleauxPolygon, R: float) -> ArcRegion:
         raise GeometryError(f"depth {R} outside [0, inradius]")
     if poly.inradius - R <= TANGENCY_TOL:
         return ArcRegion.degenerate(Point(0.0, 0.0))
-    return _clip_region(poly.vertices, 1.0 - R)
+    return _clip_region(poly.vertices, 1.0 - R)[0]
 
 
 def cheeger_radius(poly: ReuleauxPolygon, tol: float = 1e-12) -> float:
@@ -112,16 +108,19 @@ def cheeger_radius(poly: ReuleauxPolygon, tol: float = 1e-12) -> float:
 
 
 def cheeger_set(poly: ReuleauxPolygon, tol: float = 1e-12) -> CheegerSolution:
+    """The Cheeger data at R = cheeger_radius(poly, tol).
+
+    The inner body at depth R and the Cheeger set (that body plus a disk of
+    radius R) are built once. Each contact is keyed by the index l of the
+    vertex P_l its inner arc is centred at, which is also the index of the
+    boundary arc it touches; its interval lies on the branch of arc l's span.
+    """
     R = cheeger_radius(poly, tol)
-    inner = inner_parallel(poly, R)
+    # R is below the inradius, so the inner body is fat and clips directly
+    inner, rows = _clip_region(poly.vertices, 1.0 - R)
     cset = minkowski_disk_sum(inner, R)
     contacts = []
-    verts = poly.vertices
-    for arc in inner.arcs:
-        d2 = (verts[:, 0] - arc.center.x) ** 2 + (verts[:, 1] - arc.center.y) ** 2
-        l = int(d2.argmin())
-        if d2[l] > 1e-18:
-            raise GeometryError("inner arc center is not a polygon vertex")
+    for l, arc in zip(rows, inner.arcs):
         # shift the interval onto the same branch as the outer arc's span
         arc_mid = poly.alphas[l] + 0.5 * poly.arc_lengths[l]
         lo = arc.start + TAU * round((arc_mid - (arc.start + 0.5 * arc.sweep)) / TAU)
@@ -134,55 +133,6 @@ def cheeger_set(poly: ReuleauxPolygon, tol: float = 1e-12) -> CheegerSolution:
         raise GeometryError("Cheeger set perimeter/area ratio disagrees with 1/R")
     return CheegerSolution(R=R, h=h, a=(1.0 - R) ** 2, inner=inner,
                            cheeger_set=cset, contacts=tuple(contacts))
-
-
-def contact_angles(poly: ReuleauxPolygon, solution: CheegerSolution,
-                   l: int) -> tuple[float, float]:
-    """Contact interval of arc l, cross-checked against the closed form.
-
-    The closed-form shifts (driven by the neighbor arc lengths) assume the
-    adjacent corners of the inner body come from arcs l-2 and l+2, so the
-    consistency check only runs when those arcs also carry contacts.
-    """
-    n = poly.n
-    got = solution.contact_for(l % n)
-    if got is None:
-        raise EmptyContactError(f"arc {l % n} has no contact interval")
-    lo, hi = got
-    if solution.contact_for((l + 2) % n) is not None:
-        pred_lo = predicted_contact_start(poly, solution.R, l)
-        if abs(_wrap(pred_lo - lo)) > 1e-9:
-            raise GeometryError(
-                f"contact start mismatch on arc {l}: {lo!r} vs {pred_lo!r}")
-    if solution.contact_for((l - 2) % n) is not None:
-        pred_hi = predicted_contact_end(poly, solution.R, l)
-        if abs(_wrap(pred_hi - hi)) > 1e-9:
-            raise GeometryError(
-                f"contact end mismatch on arc {l}: {hi!r} vs {pred_hi!r}")
-    return (lo, hi)
-
-
-def _u_shift(half_j: float, R: float) -> float:
-    # angular shift of a contact endpoint past its arc endpoint
-    s = math.sin(half_j) / (1.0 - R)
-    if s > 1.0:
-        s = 1.0
-    return math.asin(s) - half_j
-
-
-def predicted_contact_start(poly: ReuleauxPolygon, R: float, l: int) -> float:
-    n = poly.n
-    return poly.alphas[l % n] + _u_shift(0.5 * poly.arc_lengths[(l + 1) % n], R)
-
-
-def predicted_contact_end(poly: ReuleauxPolygon, R: float, l: int) -> float:
-    n = poly.n
-    return poly.betas[l % n] - _u_shift(0.5 * poly.arc_lengths[(l - 1) % n], R)
-
-
-def upper_bounds(poly: ReuleauxPolygon) -> tuple[float, float]:
-    """Two elementary upper bounds for h: pi/|area| and 2/inradius."""
-    return (math.pi / area(as_region(poly)), 2.0 / poly.inradius)
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ def regular(N: int) -> ReuleauxPolygon:
 def as_region(poly: ReuleauxPolygon) -> ArcRegion:
     """The polygon as an intersection of unit disks centered at its vertices:
     the inner parallel body at depth 0."""
-    return _clip_region(poly.vertices, 1.0)
+    return _clip_region(poly.vertices, 1.0)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,12 @@
 
 Everything here is deliberately naive: Monte Carlo areas, cubic-time
 enclosing circles, disk-by-disk clipping, golden-section search. Tests compare the fast library
-code against these with explicit tolerances.
+code against these with explicit tolerances. The scalar closed forms that
+only tests call live here too: the contact intervals of the Cheeger set
+(contact_angles, predicted_contact_start/_end), the upper bounds on h with
+the segment-formula area, the normal speed of a Blaschke move, and the
+inradius floor at a concrete sector length. None of them reads the clip
+kernel or the Cheeger solver (test_imports checks this).
 """
 from __future__ import annotations
 
@@ -12,6 +17,7 @@ import numpy as np
 
 from reuleaux.arcs import (TANGENCY_TOL, ArcRegion, CircArc, GeometryError,
                            Point, area, min_enclosing_circle)
+from reuleaux.bounds import inradius_lower_bound_factors
 from reuleaux.polygon import MIN_ARC, regular
 
 
@@ -290,3 +296,98 @@ def assert_same_region(got, want, rho: float) -> None:
         assert abs(math.remainder(a.start - b.start, 2.0 * math.pi)) <= 1e-12
         assert abs(math.remainder(a.end - b.end, 2.0 * math.pi)) <= 1e-12
     assert abs(area(got) - area(want)) <= 1e-12 * rho * rho
+
+
+# ---------------------------------------------------------------------------
+# closed forms that only tests call
+
+class EmptyContactError(GeometryError):
+    """The requested arc contributes no contact interval to the Cheeger set."""
+
+
+def contact_angles(poly, solution, l: int) -> tuple[float, float]:
+    """Contact interval of arc l, cross-checked against the closed form.
+
+    The closed-form shifts (driven by the neighbor arc lengths) assume the
+    adjacent corners of the inner body come from arcs l-2 and l+2, so the
+    consistency check only runs when those arcs also carry contacts.
+    """
+    n = poly.n
+    got = solution.contact_for(l % n)
+    if got is None:
+        raise EmptyContactError(f"arc {l % n} has no contact interval")
+    lo, hi = got
+    if solution.contact_for((l + 2) % n) is not None:
+        pred_lo = predicted_contact_start(poly, solution.R, l)
+        if abs(math.remainder(pred_lo - lo, 2.0 * math.pi)) > 1e-9:
+            raise GeometryError(
+                f"contact start mismatch on arc {l}: {lo!r} vs {pred_lo!r}")
+    if solution.contact_for((l - 2) % n) is not None:
+        pred_hi = predicted_contact_end(poly, solution.R, l)
+        if abs(math.remainder(pred_hi - hi, 2.0 * math.pi)) > 1e-9:
+            raise GeometryError(
+                f"contact end mismatch on arc {l}: {hi!r} vs {pred_hi!r}")
+    return (lo, hi)
+
+
+def _u_shift(half_j: float, R: float) -> float:
+    # angular shift of a contact endpoint past its arc endpoint
+    s = math.sin(half_j) / (1.0 - R)
+    if s > 1.0:
+        s = 1.0
+    return math.asin(s) - half_j
+
+
+def predicted_contact_start(poly, R: float, l: int) -> float:
+    n = poly.n
+    return poly.alphas[l % n] + _u_shift(0.5 * poly.arc_lengths[(l + 1) % n], R)
+
+
+def predicted_contact_end(poly, R: float, l: int) -> float:
+    n = poly.n
+    return poly.betas[l % n] - _u_shift(0.5 * poly.arc_lengths[(l - 1) % n], R)
+
+
+def segment_area(poly) -> float:
+    """|P| as the convex hull of the vertices (shoelace, vertices in angular
+    order about the incentre) plus one circular segment per arc: arc k has
+    unit radius and opening j_k, so its segment is (j_k - sin j_k) / 2."""
+    pts = sorted(((float(x), float(y)) for x, y in poly.vertices),
+                 key=lambda p: math.atan2(p[1], p[0]))
+    hull = 0.5 * sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
+                     in zip(pts, pts[1:] + pts[:1]))
+    return hull + 0.5 * sum(j - math.sin(j) for j in poly.arc_lengths.tolist())
+
+
+def upper_bounds(poly) -> tuple[float, float]:
+    """Two elementary upper bounds for h: pi/|area| and 2/inradius."""
+    return (math.pi / segment_area(poly), 2.0 / poly.inradius)
+
+
+def normal_speed(poly, k: int, arc: int, s: float) -> float:
+    """Outward normal velocity of the boundary under the unit-rate move at k.
+
+    Nonzero only on arcs k and k+1; arcs k-1 and k+2 slide along themselves.
+    s must lie in the angular span of the queried arc.
+    """
+    n = poly.n
+    arc = arc % n
+    rel = (s - poly.alphas[arc]) % (2.0 * math.pi)
+    if rel > poly.arc_lengths[arc] + 1e-9 and rel < 2.0 * math.pi - 1e-9:
+        raise GeometryError(f"angle {s} outside the span of arc {arc}")
+    if arc == k % n:
+        return math.sin(s - poly.alphas[(k - 1) % n])
+    if arc == (k + 1) % n:
+        ratio = math.sin(poly.arc_lengths[k % n]) / math.sin(
+            poly.arc_lengths[(k + 1) % n])
+        return -ratio * math.sin(s - poly.alphas[(k + 1) % n])
+    return 0.0
+
+
+def inradius_lower_bound(h: float, tau: float, u: float) -> float:
+    """The inradius floor of bounds.inradius_lower_bound_factors evaluated
+    at a concrete largest-sector length u."""
+    sinu = math.sin(u)
+    if sinu <= 0.0:
+        raise ValueError(f"sector length {u} outside (0, pi)")
+    return inradius_lower_bound_factors(h, tau, u / sinu, 1.0 / sinu)

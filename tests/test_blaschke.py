@@ -6,12 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import central_fd
+from oracles import central_fd, normal_speed
 from reuleaux import (AuxParams, InvalidDeformation, area, aux_F, aux_G,
                       aux_H, aux_U, cheeger_set, deform, local_maximize,
-                      normal_speed, optimality_residual, random_polygon,
-                      regular, residual_norm, shape_derivative,
-                      triangle_closed_form)
+                      optimality_residual, random_polygon, regular,
+                      residual_norm, shape_derivative, triangle_closed_form)
 from reuleaux.blaschke import ArcCollapseError, trajectory_csv
 
 

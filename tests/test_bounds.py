@@ -7,8 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from reuleaux import (F2, cheeger_set, f2_argmax, hmax_of_tau,
-                      inradius_lower_bound, lastestimate,
+from oracles import inradius_lower_bound
+from reuleaux import (F2, cheeger_set, f2_argmax, hmax_of_tau, lastestimate,
                       many_arc_inradius_floor, minr_worstcase,
                       pentagon_inradius_floor, regular, residual_norm,
                       table1, table1_check, table1_csv, table_row, tau_of_h)

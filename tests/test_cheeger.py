@@ -9,15 +9,15 @@ import pytest
 import reuleaux.arcs as arcs_module
 import reuleaux.cheeger as cheeger_module
 import reuleaux.polygon as polygon_module
-from oracles import assert_same_region, golden_min, naive_disk_intersection
-from reuleaux import (area, as_region, cheeger_radius, cheeger_set,
-                      contact_angles, deform, disk_cheeger_radius,
-                      inner_parallel, perimeter, random_polygon, regular,
-                      triangle_closed_form, triangle_inner_area,
-                      upper_bounds)
-from reuleaux.cheeger import (CheegerSolution, EmptyContactError, _u_shift,
-                              bisect_root, predicted_contact_end,
-                              predicted_contact_start)
+from oracles import (EmptyContactError, _u_shift, assert_same_region,
+                     contact_angles, golden_min, naive_disk_intersection,
+                     predicted_contact_end, predicted_contact_start,
+                     upper_bounds)
+from reuleaux import (area, as_region, cheeger_radius, cheeger_set, deform,
+                      disk_cheeger_radius, inner_parallel, perimeter,
+                      random_polygon, regular, triangle_closed_form,
+                      triangle_inner_area)
+from reuleaux.cheeger import CheegerSolution, bisect_root
 
 R_TRI_LO, R_TRI_HI = 0.22802, 0.22803
 H_TRI_FLOOR = 4.3853

@@ -9,13 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (assert_same_region, brute_mec, far_pairs,
-                     naive_disk_intersection, naive_walk, reuleaux_faults)
+                     naive_disk_intersection, naive_walk, reuleaux_faults,
+                     segment_area, upper_bounds)
 from reuleaux import (GeometryError, InvalidPolygon, area, cheeger_radius,
                       cheeger_set, deform, from_vertices,
                       inner_parallel, min_enclosing_circle,
                       minkowski_disk_sum, perimeter, random_polygon,
-                      region_from_json, region_to_json, regular,
-                      upper_bounds)
+                      region_from_json, region_to_json, regular)
 from reuleaux.cheeger import bisect_root
 from reuleaux.polygon import (MIN_ARC, WidthError, _angles_of, _canonical,
                               _check_arcs, _far_pair, _slide_vertex,
@@ -60,6 +60,8 @@ def test_cheeger_below_upper_bounds(p):
     b1, b2 = upper_bounds(p)
     assert h <= min(b1, b2) + 1e-9
     assert h > 2.0  # crude floor: h > 2/width for any convex body
+    # the oracle's area (hull plus segments) against the clip kernel's
+    assert abs(segment_area(p) - area(as_region(p))) <= 1e-12
 
 
 @settings(max_examples=50, deadline=None)
