@@ -119,8 +119,9 @@ def perimeter(region: ArcRegion) -> float:
 # ---------------------------------------------------------------------------
 # minimum enclosing circle (deterministic progressive Welzl)
 
-def _in_circle(c: tuple[float, float, float], p: tuple[float, float]) -> bool:
-    return math.hypot(p[0] - c[0], p[1] - c[1]) <= c[2] * (1.0 + 1e-14) + 1e-14
+def _bound(c: tuple[float, float, float]) -> float:
+    # the distance from c's centre up to which a point counts as inside c
+    return c[2] * (1.0 + 1e-14) + 1e-14
 
 
 def _diameter_circle(a, b) -> tuple[float, float, float]:
@@ -142,31 +143,33 @@ def _circumcircle(a, b, c):
               + (cx * cx + cy * cy) * (ay - by)) / d
     y = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
               + (cx * cx + cy * cy) * (bx - ax)) / d
-    r = max(math.hypot(x - p[0], y - p[1]) for p in (a, b, c))
+    r = max(math.hypot(x - a[0], y - a[1]), math.hypot(x - b[0], y - b[1]),
+            math.hypot(x - c[0], y - c[1]))
     return (x, y, r)
-
-
-def _cross(ax, ay, bx, by, px, py) -> float:
-    return (bx - ax) * (py - ay) - (by - ay) * (px - ax)
 
 
 def _mec_two_boundary(points, p, q):
     circ = _diameter_circle(p, q)
+    cx, cy, bound = circ[0], circ[1], _bound(circ)
+    px, py = p
+    ex, ey = q[0] - px, q[1] - py
+    # the best circumcircle on each side of p -> q, and its centre's cross
+    # product with that edge
     left = right = None
+    lcross = rcross = 0.0
     for r in points:
-        if _in_circle(circ, r):
+        rx, ry = r
+        if math.hypot(rx - cx, ry - cy) <= bound:
             continue
-        cross = _cross(p[0], p[1], q[0], q[1], r[0], r[1])
+        cross = ex * (ry - py) - ey * (rx - px)
         c = _circumcircle(p, q, r)
         if c is None:
             continue
-        ccross = _cross(p[0], p[1], q[0], q[1], c[0], c[1])
-        if cross > 0.0 and (left is None
-                            or ccross > _cross(p[0], p[1], q[0], q[1], left[0], left[1])):
-            left = c
-        elif cross < 0.0 and (right is None
-                              or ccross < _cross(p[0], p[1], q[0], q[1], right[0], right[1])):
-            right = c
+        ccross = ex * (c[1] - py) - ey * (c[0] - px)
+        if cross > 0.0 and (left is None or ccross > lcross):
+            left, lcross = c, ccross
+        elif cross < 0.0 and (right is None or ccross < rcross):
+            right, rcross = c, ccross
     if left is None and right is None:
         return circ
     if left is None:
@@ -178,12 +181,14 @@ def _mec_two_boundary(points, p, q):
 
 def _mec_one_boundary(points, p):
     c = (p[0], p[1], 0.0)
+    bound = _bound(c)
     for i, q in enumerate(points):
-        if not _in_circle(c, q):
+        if not math.hypot(q[0] - c[0], q[1] - c[1]) <= bound:
             if c[2] == 0.0:
                 c = _diameter_circle(p, q)
             else:
                 c = _mec_two_boundary(points[: i + 1], p, q)
+            bound = _bound(c)
     return c
 
 
@@ -193,43 +198,97 @@ def min_enclosing_circle(points: Iterable) -> tuple[Point, float]:
         raise GeometryError("need at least one point")
     if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
         raise GeometryError("non-finite point")
-    c = None
+    c = (*pts[0], 0.0)
+    bound = _bound(c)
     for i, p in enumerate(pts):
-        if c is None or not _in_circle(c, p):
+        if not math.hypot(p[0] - c[0], p[1] - c[1]) <= bound:
             c = _mec_one_boundary(pts[: i + 1], p)
+            bound = _bound(c)
     return Point(c[0], c[1]), c[2]
 
 
 # ---------------------------------------------------------------------------
 # intersection of equal-radius disks
 
-def _clip_intervals(pts: np.ndarray,
+# the star-order neighbours i + 2 (first row) and i - 2 of vertex i
+_STAR_STEPS = np.array([[2], [-2]])
+
+
+def _pair_terms(pts: np.ndarray, ref: np.ndarray, rows: np.ndarray | slice,
+                cols: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """theta_ij and delta_ij for the pairs (rows, cols), rows an index array
+    or a slice: the points of circle i inside disk j are
+    |s - theta_ij| <= delta_ij, each theta_ij on its branch nearest ref_i."""
+    # column views of the pair differences, as strided as an (n, n)
+    # kernel's, so numpy's ufuncs take the same paths
+    d = pts[cols] - pts[rows]
+    dx, dy = d[..., 0], d[..., 1]
+    theta = np.arctan2(dy, dx)
+    delta = np.arccos(np.minimum(np.hypot(dx, dy) / (2.0 * rho), 1.0))
+    theta += TAU * np.rint((ref[rows] - theta) / TAU)
+    return theta, delta
+
+
+def _star_intervals(pts: np.ndarray,
                     rho: float) -> tuple[np.ndarray, np.ndarray]:
     """Interval [lo_i, hi_i] of circle |x - P_i| = rho left inside every disk
-    B(P_j, rho), empty if hi_i - lo_i <= 0. The centres pts (n, 2) must be
-    distinct with the origin in their hull: x on circle i in every disk has
+    B(P_j, rho), dead if hi_i - lo_i <= TANGENCY_TOL; O(n) time and memory.
+
+    pts (n, 2) are a Reuleaux polygon's vertices in index order, with the
+    origin in their hull: x on circle i in every disk has
     (x - P_i).(P_j - P_i) > 0 for all j, so x - P_i is within pi/2 of -P_i
     and each theta_ij goes on its branch nearest P_i -> origin.
+
+    Around the inner body, the arc about P_i meets the arcs about its
+    star-order neighbours: P_{i+2} bounds lo_i and P_{i-2} bounds hi_i. The
+    first pass takes those 2n pairs. An arc that dies is unlinked from the
+    star ring, and each live arc whose neighbour changed is narrowed again
+    by its new one, in rounds until no arc dies (or one is left); an
+    interval is the intersection of every pair it was narrowed by. Every
+    pair is a real disk, so an arc dead against some disks is dead against
+    all of them.
     """
-    dx, dy = (pts[None] - pts[:, None]).transpose(2, 0, 1)
-    theta = np.arctan2(dy, dx)
-    # points of circle i inside disk j: |s - theta_ij| <= delta_ij
-    delta = np.arccos(np.minimum(np.hypot(dx, dy) / (2.0 * rho), 1.0))
+    n = len(pts)
     # 0.0 - c, not -c: negation turns +0.0 into -0.0, and arctan2 would move
     # that branch by 2 pi
-    ref = np.arctan2(0.0 - pts[:, 1], 0.0 - pts[:, 0])[:, None]
-    theta += TAU * np.round((ref - theta) / TAU)
-    np.fill_diagonal(delta, np.inf)
-    return (theta - delta).max(axis=1), (theta + delta).min(axis=1)
+    ref = np.arctan2(0.0 - pts[:, 1], 0.0 - pts[:, 0])
+    idx = np.arange(n)
+    cols = (idx + _STAR_STEPS) % n
+    theta, delta = _pair_terms(pts, ref, slice(None), cols, rho)
+    lo, hi = theta[0] - delta[0], theta[1] + delta[1]
+    live = hi - lo > TANGENCY_TOL
+    if live.all():
+        return lo, hi
+    nxt, prv = cols
+    star = 2 * idx % n                    # the ring 0, 2, ..., n-1, 1, 3, ...
+    while True:
+        ring = star[live[star]]
+        if len(ring) < 2:
+            break
+        after, before = np.roll(ring, -1), np.roll(ring, 1)
+        lo_rows, hi_rows = ring[nxt[ring] != after], ring[prv[ring] != before]
+        nxt[ring], prv[ring] = after, before
+        theta, delta = _pair_terms(
+            pts, ref, np.concatenate((lo_rows, hi_rows)),
+            np.concatenate((nxt[lo_rows], prv[hi_rows])), rho)
+        m = len(lo_rows)
+        lo[lo_rows] = np.maximum(lo[lo_rows], theta[:m] - delta[:m])
+        hi[hi_rows] = np.minimum(hi[hi_rows], theta[m:] + delta[m:])
+        dying = live & (hi - lo <= TANGENCY_TOL)
+        if not dying.any():
+            break
+        live &= ~dying
+    return lo, hi
 
 
 def _clip_region(pts: np.ndarray,
                  radius: float) -> tuple[ArcRegion, list[int]]:
-    """The intersection of the disks B(P_i, radius), P_i the distinct rows of
-    pts, with the origin in their hull (as _clip_intervals needs) and in the
-    intersection's interior: its arcs, ordered by the angle of their
-    midpoints about the origin, and the row of pts each arc is centred at."""
-    lo, hi = _clip_intervals(pts, radius)
+    """The intersection of the disks B(P_i, radius), P_i a Reuleaux
+    polygon's vertices in index order, with the origin in the
+    intersection's interior (as _star_intervals needs): its arcs, ordered
+    by the angle of their midpoints about the origin, and the row of pts
+    each arc is centred at."""
+    lo, hi = _star_intervals(pts, radius)
     kept = [(i, CircArc(Point(x, y), radius, a, b - a))
             for i, ((x, y), a, b) in enumerate(zip(pts.tolist(), lo.tolist(),
                                                    hi.tolist()))

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .arcs import (SQRT3, TANGENCY_TOL, TAU, ArcRegion, CircArc,
-                   GeometryError, Point, _clip_intervals, _clip_region, area,
+                   GeometryError, Point, _clip_region, _star_intervals, area,
                    minkowski_disk_sum, perimeter)
 from .polygon import ReuleauxPolygon
 
@@ -90,7 +90,7 @@ def cheeger_radius(poly: ReuleauxPolygon, tol: float = 1e-12) -> float:
     verts, lo, hi, R = poly.vertices, 0.0, poly.inradius, 0.5 * poly.inradius
     while True:
         rho = 1.0 - R
-        a, b = _clip_intervals(verts, rho)
+        a, b = _star_intervals(verts, rho)
         live = b - a > TANGENCY_TOL
         a, b, (x, y) = a[live], b[live], verts[live].T
         # Green's theorem over the surviving arcs, as in arcs.area

@@ -31,9 +31,11 @@ SVG_SCALE = 420.0
 SVG_SIZE = 1000.0
 
 
-# The most arcs a polygon given on the command line may have. The clip
-# kernel holds about six (n, n) float arrays: at this cap `cheeger` and
-# `optimize` peak at 215-221 MiB resident (x86-64, numpy 2.4).
+# The most arcs a polygon given on the command line may have. The solve is
+# linear in n (at this cap `cheeger` peaks at 33 MiB resident, x86-64,
+# numpy 2.4); the cap guards the quadratic parts of building a polygon
+# from outside vertices: the pairwise width test and the minimal enclosing
+# circle.
 MAX_ARCS = 2001
 
 
@@ -66,9 +68,10 @@ def _load_polygon(args) -> ReuleauxPolygon:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SystemExit2(f"cannot read polygon JSON: {exc}")
-    poly = polygon_from_json(data)
-    _check_arc_count(poly.n)
-    return poly
+    # count the raw list: building the polygon is quadratic in its length
+    if isinstance(data, dict) and isinstance(data.get("vertices"), list):
+        _check_arc_count(len(data["vertices"]))
+    return polygon_from_json(data)
 
 
 class SystemExit2(Exception):

@@ -1,12 +1,13 @@
 """Slow reference implementations used only to cross-check the package.
 
 Everything here is deliberately naive: Monte Carlo areas, cubic-time
-enclosing circles, disk-by-disk clipping, golden-section search. Tests compare the fast library
-code against these with explicit tolerances. The scalar closed forms that
-only tests call live here too: the contact intervals of the Cheeger set
-(contact_angles, predicted_contact_start/_end), the upper bounds on h with
-the segment-formula area, the normal speed of a Blaschke move, and the
-inradius floor at a concrete sector length. None of them reads the clip
+enclosing circles, disk-by-disk clipping, an all-pairs clip kernel,
+golden-section search. Tests compare the fast library code against these
+with explicit tolerances. The scalar closed forms that only tests call live
+here too: the contact intervals of the Cheeger set (contact_angles,
+predicted_contact_start/_end), the upper bounds on h with the
+segment-formula area, the normal speed of a Blaschke move, and the inradius
+floor at a concrete sector length. None of them reads the clip
 kernel or the Cheeger solver (test_imports checks this).
 """
 from __future__ import annotations
@@ -15,8 +16,8 @@ import math
 
 import numpy as np
 
-from reuleaux.arcs import (TANGENCY_TOL, ArcRegion, CircArc, GeometryError,
-                           Point, area, min_enclosing_circle)
+from reuleaux.arcs import (TANGENCY_TOL, TAU, ArcRegion, CircArc,
+                           GeometryError, Point, area, min_enclosing_circle)
 from reuleaux.bounds import inradius_lower_bound_factors
 from reuleaux.polygon import MIN_ARC, regular
 
@@ -273,6 +274,28 @@ def naive_disk_intersection(centers, radius: float):
     cx, cy = mec_center.x, mec_center.y
     arcs.sort(key=lambda a: math.atan2(a.midpoint.y - cy, a.midpoint.x - cx))
     return ArcRegion(arcs=tuple(arcs))
+
+
+def _clip_intervals(pts, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Interval [lo_i, hi_i] of circle |x - P_i| = rho left inside every disk
+    B(P_j, rho), empty if hi_i - lo_i <= 0: the max of theta_ij - delta_ij
+    and the min of theta_ij + delta_ij over (n, n) matrices.
+
+    The clip kernel the library used before its star-order one, kept as
+    that kernel's reference. The centres pts (n, 2) must be distinct with
+    the origin in their hull: x on circle i in every disk has
+    (x - P_i).(P_j - P_i) > 0 for all j, so x - P_i is within pi/2 of -P_i
+    and each theta_ij goes on its branch nearest P_i -> origin.
+    """
+    dx, dy = (pts[None] - pts[:, None]).transpose(2, 0, 1)
+    theta = np.arctan2(dy, dx)
+    delta = np.arccos(np.minimum(np.hypot(dx, dy) / (2.0 * rho), 1.0))
+    # 0.0 - c, not -c: negation turns +0.0 into -0.0, and arctan2 would move
+    # that branch by 2 pi
+    ref = np.arctan2(0.0 - pts[:, 1], 0.0 - pts[:, 0])[:, None]
+    theta += TAU * np.round((ref - theta) / TAU)
+    np.fill_diagonal(delta, np.inf)
+    return (theta - delta).max(axis=1), (theta + delta).min(axis=1)
 
 
 def assert_same_region(got, want, rho: float) -> None:

@@ -2,14 +2,19 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from oracles import brute_mec, mc_area_disks, naive_disk_intersection
+from oracles import (_clip_intervals, brute_mec, mc_area_disks,
+                     naive_disk_intersection)
 from reuleaux import (ArcRegion, CircArc, GeometryError, Point,
-                      RegionValidationError, area, inner_parallel,
-                      min_enclosing_circle, minkowski_disk_sum, perimeter,
-                      random_polygon, region_from_json, region_to_json)
+                      RegionValidationError, area, cheeger_radius, cheeger_set,
+                      inner_parallel, min_enclosing_circle, minkowski_disk_sum,
+                      perimeter, random_polygon, region_from_json,
+                      region_to_json)
+from reuleaux.arcs import TANGENCY_TOL, _star_intervals
 from reuleaux.polygon import as_region, regular
 
 TAU = 2.0 * math.pi
@@ -84,6 +89,54 @@ class TestDiskIntersection:
                 assert abs(d - rho) < 1e-12
                 for x, y in p.vertices:
                     assert math.hypot(q.x - x, q.y - y) <= rho + 1e-9
+
+
+class TestStarKernel:
+    # the star-order kernel against the all-pairs one it replaced: the same
+    # live arcs, and the same bits in every live interval
+    DEPTHS = (0.0, 0.5, 0.9, 0.99, 0.999)
+
+    @staticmethod
+    def same_intervals(p, R) -> bool:
+        """Assert the two kernels agree at depth R; True if an arc died."""
+        rho = 1.0 - R
+        lo, hi = _star_intervals(p.vertices, rho)
+        want_lo, want_hi = _clip_intervals(p.vertices, rho)
+        live = hi - lo > TANGENCY_TOL
+        assert np.array_equal(live, want_hi - want_lo > TANGENCY_TOL)
+        assert np.array_equal(lo[live], want_lo[live])
+        assert np.array_equal(hi[live], want_hi[live])
+        return not live.all()
+
+    def test_matches_all_pairs_kernel(self):
+        polys = ([regular(1)]
+                 + [random_polygon(s % 6 + 1, 30 + (7 * s) % 21, s)
+                    for s in range(60)]  # verify's sweep seeds
+                 + [random_polygon(20, 20 + (7 * s) % 21, s)
+                    for s in range(10)]
+                 + [random_polygon(2 + s % 4, 400, s) for s in range(10)])
+        dead = 0
+        for p in polys:
+            for R in (cheeger_radius(p),
+                      *(f * p.inradius for f in self.DEPTHS)):
+                dead += self.same_intervals(p, R)
+        # the elimination rounds ran
+        assert dead >= 50
+
+    def test_matches_all_pairs_kernel_at_the_arc_cap(self):
+        p = regular(1000)  # 2,001 arcs
+        self.same_intervals(p, cheeger_radius(p))
+
+    def test_linear_memory(self):
+        # an (n, n) float array at n = 2,001 alone takes 30.6 MiB
+        p = regular(1000)
+        tracemalloc.start()
+        try:
+            cheeger_set(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestMinEnclosingCircle:

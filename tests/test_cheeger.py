@@ -149,14 +149,14 @@ class TestNewton:
     @staticmethod
     def evaluations(monkeypatch, p, tol):
         calls = []
-        kernel = cheeger_module._clip_intervals
+        kernel = cheeger_module._star_intervals
 
         def counted(*args):
             calls.append(1)
             return kernel(*args)
 
         with monkeypatch.context() as m:
-            m.setattr(cheeger_module, "_clip_intervals", counted)
+            m.setattr(cheeger_module, "_star_intervals", counted)
             cheeger_radius(p, tol)
         return len(calls)
 

@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+import reuleaux.polygon as polygon_module
 from reuleaux import cheeger_set, cli, random_polygon, regular
 
 CLI = [sys.executable, "-m", "reuleaux.cli"]
@@ -184,11 +185,17 @@ class TestArcCap:
                               f"{cli.MAX_ARCS} are accepted\n")
         assert res.stdout == ""
 
-    def test_over_cap_input_exits_2(self, tmp_path):
-        res = run("optimize", "--input",
-                  self.vertex_file(tmp_path, self.N_CAP + 1))
+    def test_over_cap_input_exits_2(self, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("built a polygon over the cap")
+
+        # the raw vertex list is counted before the quadratic build
+        path = self.vertex_file(tmp_path, self.N_CAP + 1)
+        monkeypatch.setattr(polygon_module, "from_vertices", refuse)
+        res = run("optimize", "--input", path)
         assert res.returncode == 2
-        assert f"{cli.MAX_ARCS + 2} arcs" in res.stderr
+        assert res.stderr == (f"error: {cli.MAX_ARCS + 2} arcs; at most "
+                              f"{cli.MAX_ARCS} are accepted\n")
         assert res.stdout == ""
 
 

@@ -10,7 +10,7 @@ ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 # the clip kernel and the Cheeger solver built on it: the routes the
 # oracles check, so no oracle may go through them
-FAST_KERNEL = {"_clip_intervals", "_clip_region", "as_region",
+FAST_KERNEL = {"_star_intervals", "_clip_region", "as_region",
                "inner_parallel", "cheeger_radius", "cheeger_set"}
 
 
