@@ -215,52 +215,79 @@ _STAR_STEPS = np.array([[2], [-2]])
 
 
 def _pair_terms(pts: np.ndarray, ref: np.ndarray, rows: np.ndarray | slice,
-                cols: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """theta_ij and delta_ij for the pairs (rows, cols), rows an index array
-    or a slice: the points of circle i inside disk j are
-    |s - theta_ij| <= delta_ij, each theta_ij on its branch nearest ref_i."""
+                cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """theta_ij and |P_j - P_i| for the pairs (rows, cols), rows an index
+    array or a slice: the points of circle i inside disk j of radius rho
+    are |s - theta_ij| <= acos(min(|P_j - P_i| / 2 rho, 1)), each theta_ij
+    on its branch nearest ref_i."""
     # column views of the pair differences, as strided as an (n, n)
     # kernel's, so numpy's ufuncs take the same paths
     d = pts[cols] - pts[rows]
     dx, dy = d[..., 0], d[..., 1]
     theta = np.arctan2(dy, dx)
-    delta = np.arccos(np.minimum(np.hypot(dx, dy) / (2.0 * rho), 1.0))
+    dist = np.hypot(dx, dy)
     theta += TAU * np.rint((ref[rows] - theta) / TAU)
-    return theta, delta
+    return theta, dist
 
 
-def _star_intervals(pts: np.ndarray,
-                    rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Interval [lo_i, hi_i] of circle |x - P_i| = rho left inside every disk
-    B(P_j, rho), dead if hi_i - lo_i <= TANGENCY_TOL; O(n) time and memory.
+def _delta(dist: np.ndarray, rho: float) -> np.ndarray:
+    return np.arccos(np.minimum(dist / (2.0 * rho), 1.0))
+
+
+@dataclass(frozen=True)
+class _StarPairs:
+    """The depth-independent terms of _star_intervals for one vertex set."""
+
+    pts: np.ndarray      # (n, 2) vertices
+    ref: np.ndarray      # direction P_i -> origin, each theta_ij's branch
+    cols: np.ndarray     # (2, n): the star neighbours i + 2 and i - 2
+    theta: np.ndarray    # (2, n) theta of the pairs (i, cols[:, i])
+    dist: np.ndarray     # (2, n) |P_j - P_i| of the same pairs
+
+
+def _star_pairs(pts: np.ndarray) -> _StarPairs:
+    """The first pass of _star_intervals up to the depth: for the 2n pairs
+    (i, i + 2) and (i, i - 2), theta_ij on its branch and |P_j - P_i|.
 
     pts (n, 2) are a Reuleaux polygon's vertices in index order, with the
     origin in their hull: x on circle i in every disk has
     (x - P_i).(P_j - P_i) > 0 for all j, so x - P_i is within pi/2 of -P_i
-    and each theta_ij goes on its branch nearest P_i -> origin.
-
-    Around the inner body, the arc about P_i meets the arcs about its
-    star-order neighbours: P_{i+2} bounds lo_i and P_{i-2} bounds hi_i. The
-    first pass takes those 2n pairs. An arc that dies is unlinked from the
-    star ring, and each live arc whose neighbour changed is narrowed again
-    by its new one, in rounds until no arc dies (or one is left); an
-    interval is the intersection of every pair it was narrowed by. Every
-    pair is a real disk, so an arc dead against some disks is dead against
-    all of them.
+    and each theta_ij goes on its branch nearest P_i -> origin. A solve
+    computes these once and clips at every depth from them.
     """
     n = len(pts)
     # 0.0 - c, not -c: negation turns +0.0 into -0.0, and arctan2 would move
     # that branch by 2 pi
     ref = np.arctan2(0.0 - pts[:, 1], 0.0 - pts[:, 0])
-    idx = np.arange(n)
-    cols = (idx + _STAR_STEPS) % n
-    theta, delta = _pair_terms(pts, ref, slice(None), cols, rho)
+    cols = (np.arange(n) + _STAR_STEPS) % n
+    theta, dist = _pair_terms(pts, ref, slice(None), cols)
+    return _StarPairs(pts, ref, cols, theta, dist)
+
+
+def _star_intervals(pairs: _StarPairs,
+                    rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Interval [lo_i, hi_i] of circle |x - P_i| = rho left inside every disk
+    B(P_j, rho), dead if hi_i - lo_i <= TANGENCY_TOL; O(n) time and memory.
+
+    Around the inner body, the arc about P_i meets the arcs about its
+    star-order neighbours: P_{i+2} bounds lo_i and P_{i-2} bounds hi_i. The
+    first pass takes those 2n pairs, whose theta and distance _star_pairs
+    computed; only delta_ij = acos(min(|P_j - P_i| / 2 rho, 1)) depends on
+    rho. An arc that dies is unlinked from the star ring, and each live arc
+    whose neighbour changed is narrowed again by its new one, in rounds
+    until no arc dies (or one is left); an interval is the intersection of
+    every pair it was narrowed by. Every pair is a real disk, so an arc
+    dead against some disks is dead against all of them.
+    """
+    theta, delta = pairs.theta, _delta(pairs.dist, rho)
     lo, hi = theta[0] - delta[0], theta[1] + delta[1]
     live = hi - lo > TANGENCY_TOL
     if live.all():
         return lo, hi
-    nxt, prv = cols
-    star = 2 * idx % n                    # the ring 0, 2, ..., n-1, 1, 3, ...
+    pts, ref = pairs.pts, pairs.ref
+    n = len(pts)
+    nxt, prv = pairs.cols.copy()
+    star = 2 * np.arange(n) % n           # the ring 0, 2, ..., n-1, 1, 3, ...
     while True:
         ring = star[live[star]]
         if len(ring) < 2:
@@ -268,9 +295,10 @@ def _star_intervals(pts: np.ndarray,
         after, before = np.roll(ring, -1), np.roll(ring, 1)
         lo_rows, hi_rows = ring[nxt[ring] != after], ring[prv[ring] != before]
         nxt[ring], prv[ring] = after, before
-        theta, delta = _pair_terms(
+        theta, dist = _pair_terms(
             pts, ref, np.concatenate((lo_rows, hi_rows)),
-            np.concatenate((nxt[lo_rows], prv[hi_rows])), rho)
+            np.concatenate((nxt[lo_rows], prv[hi_rows])))
+        delta = _delta(dist, rho)
         m = len(lo_rows)
         lo[lo_rows] = np.maximum(lo[lo_rows], theta[:m] - delta[:m])
         hi[hi_rows] = np.minimum(hi[hi_rows], theta[m:] + delta[m:])
@@ -281,24 +309,37 @@ def _star_intervals(pts: np.ndarray,
     return lo, hi
 
 
-def _clip_region(pts: np.ndarray,
+def _clip_region(pairs: _StarPairs,
                  radius: float) -> tuple[ArcRegion, list[int]]:
-    """The intersection of the disks B(P_i, radius), P_i a Reuleaux
-    polygon's vertices in index order, with the origin in the
-    intersection's interior (as _star_intervals needs): its arcs, ordered
-    by the angle of their midpoints about the origin, and the row of pts
-    each arc is centred at."""
-    lo, hi = _star_intervals(pts, radius)
-    kept = [(i, CircArc(Point(x, y), radius, a, b - a))
-            for i, ((x, y), a, b) in enumerate(zip(pts.tolist(), lo.tolist(),
-                                                   hi.tolist()))
-            if b - a > TANGENCY_TOL]
-    if not kept:
+    """The intersection of the disks B(P_i, radius), P_i the vertices
+    _star_pairs was given, with the origin in the intersection's interior:
+    its arcs, and the row of pts each arc is centred at.
+
+    The arcs are in ccw ring order (the arc about P_i is followed by the
+    arc about P_{i-2}, dead arcs skipped), starting at the arc whose
+    midpoint has the smallest polar angle: ordered by the angle of their
+    midpoints about the origin, which increases along a convex boundary
+    around an interior point.
+    """
+    lo, hi = _star_intervals(pairs, radius)
+    pts, lo, hi = pairs.pts.tolist(), lo.tolist(), hi.tolist()
+    n = len(pts)
+    rows, arcs, angles = [], [], []
+    for k in range(n):
+        i = -2 * k % n                    # ccw: i, i - 2, i - 4, ...
+        a, sweep = lo[i], hi[i] - lo[i]
+        if sweep > TANGENCY_TOL:
+            x, y = pts[i]
+            mid = a + 0.5 * sweep
+            rows.append(i)
+            arcs.append(CircArc(Point(x, y), radius, a, sweep))
+            angles.append(math.atan2(y + radius * math.sin(mid),
+                                     x + radius * math.cos(mid)))
+    if not arcs:
         # every circle clipped away yet the region is fat: cannot happen
         raise GeometryError("no surviving boundary arcs")
-    kept.sort(key=lambda ia: math.atan2(ia[1].midpoint.y, ia[1].midpoint.x))
-    return (ArcRegion(arcs=tuple(arc for _, arc in kept)),
-            [i for i, _ in kept])
+    k = angles.index(min(angles))
+    return ArcRegion(arcs=tuple(arcs[k:] + arcs[:k])), rows[k:] + rows[:k]
 
 
 def minkowski_disk_sum(region: ArcRegion, rho: float) -> ArcRegion:
@@ -318,10 +359,12 @@ def minkowski_disk_sum(region: ArcRegion, rho: float) -> ArcRegion:
     n = len(region.arcs)
     for i, arc in enumerate(region.arcs):
         out.append(CircArc(arc.center, arc.radius + rho, arc.start, arc.sweep))
-        nxt = region.arcs[(i + 1) % n]
-        turn = _wrap(nxt.start - arc.end)
+        end = arc.start + arc.sweep
+        turn = _wrap(region.arcs[(i + 1) % n].start - end)
         if turn > TANGENCY_TOL:
-            out.append(CircArc(arc.end_point, rho, arc.end, turn))
+            c, r = arc.center, arc.radius
+            corner = Point(c.x + r * math.cos(end), c.y + r * math.sin(end))
+            out.append(CircArc(corner, rho, end, turn))
     return ArcRegion(arcs=tuple(out))
 
 

@@ -82,13 +82,17 @@ def deform(poly: ReuleauxPolygon, k: int, eps: float) -> ReuleauxPolygon:
     Positive eps advances P_k counterclockwise, shortening arc k-1 by eps.
     Raises InvalidDeformation for triangles (no move exists: rebuilding
     P_{k+1} would reflect the shape instead of deforming it), IndexError for
-    a bad index, ArcCollapseError when any arc would close up.
+    a bad index, ArcCollapseError when any arc would close up (eps = +inf
+    included) and InvalidDeformation for eps NaN or -inf.
     """
     n = poly.n
     if n < 5:
         raise InvalidDeformation("a Reuleaux triangle admits no Blaschke move")
     if not 0 <= k < n:
         raise IndexError(f"arc index {k} outside 0..{n - 1}")
+    if math.isnan(eps) or eps == -math.inf:
+        # +inf fails below, as a collapse of arc k-1
+        raise InvalidDeformation(f"eps must be finite, got {eps}")
     if eps == 0.0:
         return poly
     js = poly.arc_lengths

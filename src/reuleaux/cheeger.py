@@ -15,8 +15,9 @@ from typing import Callable
 import numpy as np
 
 from .arcs import (SQRT3, TANGENCY_TOL, TAU, ArcRegion, CircArc,
-                   GeometryError, Point, _clip_region, _star_intervals, area,
-                   minkowski_disk_sum, perimeter)
+                   GeometryError, Point, _clip_region, _star_intervals,
+                   _star_pairs, _StarPairs, area, minkowski_disk_sum,
+                   perimeter)
 from .polygon import ReuleauxPolygon
 
 
@@ -76,21 +77,15 @@ def inner_parallel(poly: ReuleauxPolygon, R: float) -> ArcRegion:
         raise GeometryError(f"depth {R} outside [0, inradius]")
     if poly.inradius - R <= TANGENCY_TOL:
         return ArcRegion.degenerate(Point(0.0, 0.0))
-    return _clip_region(poly.vertices, 1.0 - R)[0]
+    return _clip_region(_star_pairs(poly.vertices), 1.0 - R)[0]
 
 
-def cheeger_radius(poly: ReuleauxPolygon, tol: float = 1e-12) -> float:
-    """The radius R with |inner body| = pi R^2; h = 1/R.
-
-    Newton from inradius/2 on g(R) = |inner| - pi R^2, which falls strictly
-    on [0, inradius], with g' = -perimeter(inner) - 2 pi R (the Cheeger set
-    is the inner body plus a disk of radius R). Each evaluation, one clip
-    kernel call about the origin, moves an end of the bracket [0, inradius];
-    a step leaving it is replaced by the midpoint."""
-    verts, lo, hi, R = poly.vertices, 0.0, poly.inradius, 0.5 * poly.inradius
+def _newton(pairs: _StarPairs, inradius: float, tol: float) -> float:
+    # cheeger_radius's iteration, on pair terms the caller computed
+    verts, lo, hi, R = pairs.pts, 0.0, inradius, 0.5 * inradius
     while True:
         rho = 1.0 - R
-        a, b = _star_intervals(verts, rho)
+        a, b = _star_intervals(pairs, rho)
         live = b - a > TANGENCY_TOL
         a, b, (x, y) = a[live], b[live], verts[live].T
         # Green's theorem over the surviving arcs, as in arcs.area
@@ -107,22 +102,37 @@ def cheeger_radius(poly: ReuleauxPolygon, tol: float = 1e-12) -> float:
                 return R
 
 
+def cheeger_radius(poly: ReuleauxPolygon, tol: float = 1e-12) -> float:
+    """The radius R with |inner body| = pi R^2; h = 1/R.
+
+    Newton from inradius/2 on g(R) = |inner| - pi R^2, which falls strictly
+    on [0, inradius], with g' = -perimeter(inner) - 2 pi R (the Cheeger set
+    is the inner body plus a disk of radius R). Each evaluation, one clip
+    kernel call about the origin, moves an end of the bracket [0, inradius];
+    a step leaving it is replaced by the midpoint. The kernel's
+    depth-independent pair terms are computed once per solve."""
+    return _newton(_star_pairs(poly.vertices), poly.inradius, tol)
+
+
 def cheeger_set(poly: ReuleauxPolygon, tol: float = 1e-12) -> CheegerSolution:
     """The Cheeger data at R = cheeger_radius(poly, tol).
 
     The inner body at depth R and the Cheeger set (that body plus a disk of
-    radius R) are built once. Each contact is keyed by the index l of the
-    vertex P_l its inner arc is centred at, which is also the index of the
-    boundary arc it touches; its interval lies on the branch of arc l's span.
+    radius R) are built once, from the same pair terms as the solve. Each
+    contact is keyed by the index l of the vertex P_l its inner arc is
+    centred at, which is also the index of the boundary arc it touches; its
+    interval lies on the branch of arc l's span.
     """
-    R = cheeger_radius(poly, tol)
+    pairs = _star_pairs(poly.vertices)
+    R = _newton(pairs, poly.inradius, tol)
     # R is below the inradius, so the inner body is fat and clips directly
-    inner, rows = _clip_region(poly.vertices, 1.0 - R)
+    inner, rows = _clip_region(pairs, 1.0 - R)
     cset = minkowski_disk_sum(inner, R)
+    alphas, js = poly.alphas.tolist(), poly.arc_lengths.tolist()
     contacts = []
     for l, arc in zip(rows, inner.arcs):
         # shift the interval onto the same branch as the outer arc's span
-        arc_mid = poly.alphas[l] + 0.5 * poly.arc_lengths[l]
+        arc_mid = alphas[l] + 0.5 * js[l]
         lo = arc.start + TAU * round((arc_mid - (arc.start + 0.5 * arc.sweep)) / TAU)
         contacts.append((l, lo, lo + arc.sweep))
     contacts.sort()

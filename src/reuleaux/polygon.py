@@ -9,13 +9,14 @@ arc lengths j_k = beta_k - alpha_k are positive and sum to pi.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .arcs import (ArcRegion, GeometryError, TAU, _clip_region,
+from .arcs import (ArcRegion, GeometryError, TAU, _clip_region, _star_pairs,
                    min_enclosing_circle)
 
 # random-walk / optimizer floor for arc lengths
@@ -166,6 +167,10 @@ def from_vertices(points) -> ReuleauxPolygon:
 def regular(N: int) -> ReuleauxPolygon:
     """Regular Reuleaux polygon with 2N+1 arcs, width one (memoised: the
     result is immutable)."""
+    try:
+        N = operator.index(N)
+    except TypeError:
+        raise VertexCountError(f"N must be an integer, got {N!r}") from None
     if N < 1:
         raise VertexCountError("N must be >= 1")
     n = 2 * N + 1
@@ -179,7 +184,7 @@ def regular(N: int) -> ReuleauxPolygon:
 def as_region(poly: ReuleauxPolygon) -> ArcRegion:
     """The polygon as an intersection of unit disks centered at its vertices:
     the inner parallel body at depth 0."""
-    return _clip_region(poly.vertices, 1.0)[0]
+    return _clip_region(_star_pairs(poly.vertices), 1.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +192,8 @@ def as_region(poly: ReuleauxPolygon) -> ArcRegion:
 
 def _norm(x: float, y: float) -> float:
     # numpy's 2-vector dot, as np.linalg.norm: it may round as fma(y, y, x*x),
-    # and x*x + y*y would move the slide's choices in the last bit
+    # and x*x + y*y would move the slide's new P_{k+1} in the last bit; only
+    # the separation d, whose bits feed that point, needs it
     v = np.array((x, y))
     return math.sqrt(v.dot(v))
 
@@ -221,7 +227,9 @@ def _slide_vertex(verts, k: int, eps: float) -> tuple[tuple[float, float],
     ux, uy = -cy / d, cx / d
     c1 = (mx + h * ux, my + h * uy)
     c2 = (mx - h * ux, my - h * uy)
-    near = _norm(c1[0] - ox, c1[1] - oy) <= _norm(c2[0] - ox, c2[1] - oy)
+    # a choice, not a value: hypot differs from _norm in the last bit, which
+    # matters only where the two distances tie
+    near = math.hypot(c1[0] - ox, c1[1] - oy) <= math.hypot(c2[0] - ox, c2[1] - oy)
     return (px, py), c1 if near else c2
 
 

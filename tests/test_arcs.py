@@ -14,7 +14,8 @@ from reuleaux import (ArcRegion, CircArc, GeometryError, Point,
                       inner_parallel, min_enclosing_circle, minkowski_disk_sum,
                       perimeter, random_polygon, region_from_json,
                       region_to_json)
-from reuleaux.arcs import TANGENCY_TOL, _star_intervals
+from reuleaux.arcs import (TANGENCY_TOL, _clip_region, _star_intervals,
+                           _star_pairs)
 from reuleaux.polygon import as_region, regular
 
 TAU = 2.0 * math.pi
@@ -97,10 +98,19 @@ class TestStarKernel:
     DEPTHS = (0.0, 0.5, 0.9, 0.99, 0.999)
 
     @staticmethod
-    def same_intervals(p, R) -> bool:
-        """Assert the two kernels agree at depth R; True if an arc died."""
+    def walks():
+        return ([random_polygon(s % 6 + 1, 30 + (7 * s) % 21, s)
+                 for s in range(60)]  # verify's sweep seeds
+                + [random_polygon(20, 20 + (7 * s) % 21, s)
+                   for s in range(10)]
+                + [random_polygon(2 + s % 4, 400, s) for s in range(10)])
+
+    @staticmethod
+    def same_intervals(p, pairs, R) -> bool:
+        """Assert the two kernels agree at depth R, the star kernel on
+        pairs = _star_pairs(p.vertices); True if an arc died."""
         rho = 1.0 - R
-        lo, hi = _star_intervals(p.vertices, rho)
+        lo, hi = _star_intervals(pairs, rho)
         want_lo, want_hi = _clip_intervals(p.vertices, rho)
         live = hi - lo > TANGENCY_TOL
         assert np.array_equal(live, want_hi - want_lo > TANGENCY_TOL)
@@ -109,23 +119,44 @@ class TestStarKernel:
         return not live.all()
 
     def test_matches_all_pairs_kernel(self):
-        polys = ([regular(1)]
-                 + [random_polygon(s % 6 + 1, 30 + (7 * s) % 21, s)
-                    for s in range(60)]  # verify's sweep seeds
-                 + [random_polygon(20, 20 + (7 * s) % 21, s)
-                    for s in range(10)]
-                 + [random_polygon(2 + s % 4, 400, s) for s in range(10)])
+        polys = [regular(1)] + self.walks()
         dead = 0
         for p in polys:
+            # one polygon's pair terms serve every depth, as in a solve
+            pairs = _star_pairs(p.vertices)
             for R in (cheeger_radius(p),
                       *(f * p.inradius for f in self.DEPTHS)):
-                dead += self.same_intervals(p, R)
+                dead += self.same_intervals(p, pairs, R)
         # the elimination rounds ran
         assert dead >= 50
 
+    def test_ring_order_is_midpoint_order(self):
+        # _clip_region walks the live arcs in ring order i, i-2, ...; that
+        # is the order of their midpoints' polar angles, which it starts at
+        # the smallest, as sorting the live arcs by that angle would
+        polys = [regular(N) for N in (1, 2, 5)] + self.walks()
+        dead = 0
+        for p in polys:
+            pairs = _star_pairs(p.vertices)
+            for f in (0.0, 0.3, 0.6, 0.9, 0.99, 0.999, 1.0 - 1e-11):
+                rho = 1.0 - f * p.inradius
+                region, rows = _clip_region(pairs, rho)
+                lo, hi = _star_intervals(pairs, rho)
+                want = sorted(
+                    ((i, CircArc(Point(*p.vertices[i].tolist()), rho, a, b - a))
+                     for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()))
+                     if b - a > TANGENCY_TOL),
+                    key=lambda ia: math.atan2(ia[1].midpoint.y,
+                                              ia[1].midpoint.x))
+                assert rows == [i for i, _ in want]
+                assert region.arcs == tuple(arc for _, arc in want)
+                dead += len(rows) < p.n
+        # the rings skipped dead arcs
+        assert dead >= 100
+
     def test_matches_all_pairs_kernel_at_the_arc_cap(self):
         p = regular(1000)  # 2,001 arcs
-        self.same_intervals(p, cheeger_radius(p))
+        self.same_intervals(p, _star_pairs(p.vertices), cheeger_radius(p))
 
     def test_linear_memory(self):
         # an (n, n) float array at n = 2,001 alone takes 30.6 MiB

@@ -56,6 +56,16 @@ class TestDeform:
         with pytest.raises(IndexError):
             deform(regular(2), 5, 0.01)
 
+    @pytest.mark.parametrize("eps", [math.nan, -math.inf])
+    def test_non_finite_eps_refused(self, eps):
+        with pytest.raises(InvalidDeformation, match="finite") as info:
+            deform(regular(2), 1, eps)
+        assert info.type is InvalidDeformation
+
+    def test_infinite_eps_collapses(self):
+        with pytest.raises(ArcCollapseError):
+            deform(regular(2), 1, math.inf)
+
 
 class TestNormalSpeed:
     def test_matches_vertex_motion(self):

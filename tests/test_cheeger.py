@@ -160,6 +160,25 @@ class TestNewton:
             cheeger_radius(p, tol)
         return len(calls)
 
+    def test_pair_terms_once_per_solve(self, monkeypatch):
+        # the Newton evaluations and the final clip share one _star_pairs
+        calls = []
+        pairs = cheeger_module._star_pairs
+
+        def counted(*args):
+            calls.append(1)
+            return pairs(*args)
+
+        monkeypatch.setattr(cheeger_module, "_star_pairs", counted)
+        for p in (regular(1), random_polygon(3, 30, 1),
+                  random_polygon(4, 40, 3)):
+            calls.clear()
+            cheeger_set(p)
+            assert len(calls) == 1
+            calls.clear()
+            cheeger_radius(p)
+            assert len(calls) == 1
+
     def test_few_evaluations(self, monkeypatch, regular_pool):
         # bisection would take 41; more than 6 means Newton fell back
         for seed in range(200):  # verify's sweep seeds

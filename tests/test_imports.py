@@ -10,8 +10,9 @@ ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 # the clip kernel and the Cheeger solver built on it: the routes the
 # oracles check, so no oracle may go through them
-FAST_KERNEL = {"_star_intervals", "_clip_region", "as_region",
-               "inner_parallel", "cheeger_radius", "cheeger_set"}
+FAST_KERNEL = {"_star_pairs", "_star_intervals", "_clip_region",
+               "as_region", "inner_parallel", "cheeger_radius",
+               "cheeger_set"}
 
 
 def unused_imports(source: str) -> list[str]:

@@ -59,6 +59,19 @@ class TestRegular:
             want = 1.0 - 1.0 / (2.0 * math.cos(math.pi / (2 * n)))
             assert abs(regular(N).inradius - want) < 1e-12
 
+    @pytest.mark.parametrize("N", [2.5, 3.0, "3", None])
+    def test_non_integer_refused(self, N):
+        # 2.5 once built a 6-vertex polygon whose arcs summed to 4 pi
+        with pytest.raises(VertexCountError, match="integer"):
+            regular(N)
+        with pytest.raises(VertexCountError, match="integer"):
+            random_polygon(N, 3, 1)
+
+    def test_numpy_integer_accepted(self):
+        assert np.array_equal(regular(np.int64(3)).vertices,
+                              regular(3).vertices)
+        assert random_polygon(np.int64(3), 10, 1).n == 7
+
     def test_bad_count(self):
         with pytest.raises(ValueError):
             regular(0)
