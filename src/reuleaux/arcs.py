@@ -4,7 +4,8 @@ Everything downstream (Reuleaux polygons, inner parallel bodies, Cheeger sets)
 is an intersection of equal-radius disks or a disk Minkowski sum of one, so
 this module only has to be correct for convex regions whose boundary is a
 closed chain of ccw circular arcs. Point, CircArc and ArcRegion do not check
-themselves: regions from outside are checked once, by region_from_json.
+themselves: no region is read from outside, and the library builds every
+region from numbers it has already checked.
 """
 from __future__ import annotations
 
@@ -17,17 +18,11 @@ import numpy as np
 TAU = 2.0 * math.pi
 SQRT3 = math.sqrt(3.0)
 
-# Chain endpoints must meet within this Euclidean distance.
-CLOSURE_TOL = 1e-9
 # Arcs thinner than this are treated as tangencies and dropped.
 TANGENCY_TOL = 1e-12
 
 
 class GeometryError(ValueError):
-    pass
-
-
-class RegionValidationError(GeometryError):
     pass
 
 
@@ -67,14 +62,6 @@ class CircArc:
     @property
     def start_point(self) -> Point:
         return self.point_at(self.start)
-
-    @property
-    def end_point(self) -> Point:
-        return self.point_at(self.end)
-
-    @property
-    def midpoint(self) -> Point:
-        return self.point_at(self.start + 0.5 * self.sweep)
 
 
 @dataclass(frozen=True)
@@ -336,7 +323,8 @@ def _clip_region(pairs: _StarPairs,
             angles.append(math.atan2(y + radius * math.sin(mid),
                                      x + radius * math.cos(mid)))
     if not arcs:
-        # every circle clipped away yet the region is fat: cannot happen
+        # every arc thinner than TANGENCY_TOL: a depth within rounding of
+        # the inradius, where inner_parallel returns the point instead
         raise GeometryError("no surviving boundary arcs")
     k = angles.index(min(angles))
     return ArcRegion(arcs=tuple(arcs[k:] + arcs[:k])), rows[k:] + rows[:k]
@@ -366,102 +354,3 @@ def minkowski_disk_sum(region: ArcRegion, rho: float) -> ArcRegion:
             corner = Point(c.x + r * math.cos(end), c.y + r * math.sin(end))
             out.append(CircArc(corner, rho, end, turn))
     return ArcRegion(arcs=tuple(out))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def region_to_json(region: ArcRegion) -> dict:
-    if region.is_degenerate:
-        return {"arcs": [], "point": [region.point.x, region.point.y]}
-    return {"arcs": [{"cx": a.center.x, "cy": a.center.y, "r": a.radius,
-                      "start": a.start, "sweep": a.sweep} for a in region.arcs]}
-
-
-def _check_region(region: ArcRegion) -> None:
-    """Raise unless region is a finite point or a closed convex ccw arc chain:
-    GeometryError for a bad number, RegionValidationError for a bad chain."""
-    if region.is_degenerate:
-        p = region.point
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            raise GeometryError(f"non-finite point ({p.x}, {p.y})")
-        return
-    for arc in region.arcs:
-        c = arc.center
-        if not (math.isfinite(c.x) and math.isfinite(c.y)):
-            raise GeometryError(f"non-finite point ({c.x}, {c.y})")
-        if not (math.isfinite(arc.radius) and arc.radius > 0.0):
-            raise GeometryError(f"arc radius must be positive, got {arc.radius}")
-        if not math.isfinite(arc.start):
-            raise GeometryError("non-finite arc start angle")
-        if not (0.0 < arc.sweep <= TAU + 1e-12):
-            raise GeometryError(f"arc sweep must lie in (0, 2pi], got {arc.sweep}")
-    n = len(region.arcs)
-    turning = 0.0
-    for i, arc in enumerate(region.arcs):
-        nxt = region.arcs[(i + 1) % n]
-        e, s = arc.end_point, nxt.start_point
-        gap = math.hypot(e.x - s.x, e.y - s.y)
-        if gap > CLOSURE_TOL:
-            raise RegionValidationError(
-                f"chain broken between arc {i} and {(i + 1) % n}: gap {gap:.3e}")
-        turn = _wrap(nxt.start - arc.end)
-        if turn < -1e-9:
-            raise RegionValidationError(
-                f"reflex corner after arc {i}: turn {turn:.3e}")
-        turning += arc.sweep + turn
-    if abs(turning - TAU) > 1e-9:
-        raise RegionValidationError(
-            f"total tangent turning {turning!r} != 2pi")
-
-
-def region_from_json(data: dict) -> ArcRegion:
-    """Read and check a region written by region_to_json: where regions
-    enter from outside. Malformed JSON raises RegionValidationError."""
-    def num(v) -> float:  # float() would also take "0", false and " 1.5 "
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise TypeError(f"not a JSON number: {v!r}")
-        return float(v)
-
-    try:
-        if data.get("arcs"):
-            region = ArcRegion(arcs=tuple(
-                CircArc(Point(num(d["cx"]), num(d["cy"])), num(d["r"]),
-                        num(d["start"]), num(d["sweep"]))
-                for d in data["arcs"]))
-        else:
-            x, y = data["point"]
-            region = ArcRegion.degenerate(Point(num(x), num(y)))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise RegionValidationError(f"malformed JSON region: {exc!r}") from None
-    _check_region(region)
-    return region
-
-
-def svg_path_data(region: ArcRegion, scale: float, ox: float, oy: float) -> str:
-    """SVG path for a region, y axis flipped for screen coordinates.
-
-    Math-ccw arcs appear counterclockwise on screen as SVG sweep-flag 0.
-    Sweeps above pi need the large-arc flag; full circles are split in two.
-    """
-    if region.is_degenerate:
-        x = ox + scale * region.point.x
-        y = oy - scale * region.point.y
-        return (f"M {x:.3f} {y:.3f} "
-                f"a 0.5 0.5 0 1 0 1 0 a 0.5 0.5 0 1 0 -1 0")
-    pieces: list[tuple[float, float, float, float]] = []  # r, end x, end y, sweep
-    for arc in region.arcs:
-        halves = [(arc.start, arc.sweep)] if arc.sweep <= math.pi + 1e-12 else \
-            [(arc.start, arc.sweep / 2), (arc.start + arc.sweep / 2, arc.sweep / 2)]
-        for s0, sw in halves:
-            ex = arc.center.x + arc.radius * math.cos(s0 + sw)
-            ey = arc.center.y + arc.radius * math.sin(s0 + sw)
-            pieces.append((arc.radius, ex, ey, sw))
-    p0 = region.arcs[0].start_point
-    d = [f"M {ox + scale * p0.x:.4f} {oy - scale * p0.y:.4f}"]
-    for r, ex, ey, sw in pieces:
-        laf = 1 if sw > math.pi else 0
-        d.append(f"A {scale * r:.4f} {scale * r:.4f} 0 {laf} 0 "
-                 f"{ox + scale * ex:.4f} {oy - scale * ey:.4f}")
-    d.append("Z")
-    return " ".join(d)

@@ -72,12 +72,16 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
 def inner_parallel(poly: ReuleauxPolygon, R: float) -> ArcRegion:
     """Inner parallel body at depth R: intersection of disks of radius 1-R
     about the vertices, clipped about the origin (the incenter); from depth
-    inradius on, the single point at the origin."""
+    inradius on, or once every arc is thinner than TANGENCY_TOL just short
+    of it, the single point at the origin."""
     if not 0.0 <= R <= poly.inradius + 1e-12:
         raise GeometryError(f"depth {R} outside [0, inradius]")
-    if poly.inradius - R <= TANGENCY_TOL:
-        return ArcRegion.degenerate(Point(0.0, 0.0))
-    return _clip_region(_star_pairs(poly.vertices), 1.0 - R)[0]
+    if poly.inradius - R > TANGENCY_TOL:
+        try:
+            return _clip_region(_star_pairs(poly.vertices), 1.0 - R)[0]
+        except GeometryError:  # no arc survives
+            pass
+    return ArcRegion.degenerate(Point(0.0, 0.0))
 
 
 def _newton(pairs: _StarPairs, inradius: float, tol: float) -> float:

@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .arcs import GeometryError, svg_path_data
+from .arcs import ArcRegion, GeometryError, Point
 from .blaschke import local_maximize, trajectory_csv
 from .bounds import table1, table1_check, table1_csv
 from .cheeger import CheegerSolution, cheeger_set
@@ -59,8 +59,6 @@ def _load_polygon(args) -> ReuleauxPolygon:
             N, steps, seed = (int(p) for p in parts)
         except ValueError as exc:
             raise SystemExit2(f"--random wants integers: {exc}")
-        if steps < 0 or seed < 0:
-            raise SystemExit2("--random wants steps >= 0 and seed >= 0")
         _check_arc_count(2 * N + 1)
         return random_polygon(N, steps, seed)
     try:
@@ -78,6 +76,27 @@ class SystemExit2(Exception):
     """Input or validation problem; the CLI maps it to exit code 2."""
 
 
+def _svg_path(region: ArcRegion) -> str:
+    """SVG path data of a region's arc chain, y axis flipped for the screen.
+
+    Math-ccw arcs appear counterclockwise on screen as SVG sweep-flag 0, and
+    a sweep above pi needs the large-arc flag. The regions drawn here are
+    bodies, inner bodies and Cheeger sets: never a point or a full circle.
+    """
+    o = SVG_SIZE / 2.0
+
+    def at(p: Point) -> str:
+        return f"{o + SVG_SCALE * p.x:.4f} {o - SVG_SCALE * p.y:.4f}"
+
+    d = [f"M {at(region.arcs[0].start_point)}"]
+    for arc in region.arcs:
+        r = f"{SVG_SCALE * arc.radius:.4f}"
+        d.append(f"A {r} {r} 0 {int(arc.sweep > math.pi)} 0 "
+                 f"{at(arc.point_at(arc.end))}")
+    d.append("Z")
+    return " ".join(d)
+
+
 def _svg_overlay(poly: ReuleauxPolygon,
                  sol: CheegerSolution | None = None) -> str:
     """SVG of the body and, given its Cheeger solution, its inner parallel
@@ -88,9 +107,8 @@ def _svg_overlay(poly: ReuleauxPolygon,
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'viewBox="0 0 {SVG_SIZE:.0f} {SVG_SIZE:.0f}">']
     for region, color in layers:
-        d = svg_path_data(region, SVG_SCALE, SVG_SIZE / 2.0, SVG_SIZE / 2.0)
-        parts.append(f'  <path d="{d}" fill="none" stroke="{color}" '
-                     f'stroke-width="2"/>')
+        parts.append(f'  <path d="{_svg_path(region)}" fill="none" '
+                     f'stroke="{color}" stroke-width="2"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

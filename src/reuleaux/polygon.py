@@ -90,7 +90,10 @@ def _check_arcs(js, min_arc: float,
                 arc_error: type[Exception] = AdjacencyError) -> None:
     """Raise arc_error unless arcs js (a list or an array) are in
     (min_arc, pi) and sum to pi."""
-    # with unit neighbours, such arcs close into a curve of constant width 1
+    # with unit neighbours such arcs close into a curve of constant width 1,
+    # but only in exact arithmetic: within the 1e-9 slack, near a collapsed
+    # arc a non-adjacent pair can pass 1 + WIDTH_TOL, so from_vertices keeps
+    # its pairwise width test
     lo, total = min(js), sum(js)
     if lo <= min_arc or max(js) >= math.pi:
         if lo > math.pi:
@@ -249,6 +252,10 @@ def random_polygon(N: int, steps: int, seed: int) -> ReuleauxPolygon:
     arrays once, for the canonical polygon it returns.
     A triangle admits no Blaschke move, so N = 1 returns regular(1) as is.
     """
+    if steps < 0:
+        raise InvalidPolygon(f"random walk wants steps >= 0, got {steps}")
+    if seed < 0:
+        raise InvalidPolygon(f"random walk wants seed >= 0, got {seed}")
     poly = regular(N)
     if N == 1:
         return poly

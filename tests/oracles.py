@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: Monte Carlo areas, cubic-time
 enclosing circles, disk-by-disk clipping, an all-pairs clip kernel,
-golden-section search. Tests compare the fast library code against these
-with explicit tolerances. The scalar closed forms that only tests call live
+golden-section search, a check that a region is a closed convex ccw arc
+chain. Tests compare the fast library code against these with explicit
+tolerances. The scalar closed forms that only tests call live
 here too: the contact intervals of the Cheeger set (contact_angles,
 predicted_contact_start/_end), the upper bounds on h with the
 segment-formula area, the normal speed of a Blaschke move, and the inradius
@@ -213,6 +214,50 @@ def naive_walk(N: int, steps: int, seed: int) -> np.ndarray:
     return verts
 
 
+def region_faults(region) -> set[str]:
+    """Which conditions of a finite point or a closed convex ccw arc chain fail.
+
+    "finite": a non-finite coordinate or start angle. "radius": a radius
+    not positive and finite. "sweep": a sweep outside (0, 2pi]. The chain
+    is checked only when every number passes: "chain", an arc's end more
+    than 1e-9 from the next arc's start; "reflex", an inward corner (a
+    turn below -1e-9); "turning", a total tangent turning 1e-9 or more
+    from 2pi.
+    """
+    if region.is_degenerate:
+        p = region.point
+        return set() if math.isfinite(p.x) and math.isfinite(p.y) else {"finite"}
+    faults = set()
+    for arc in region.arcs:
+        if not all(map(math.isfinite, (arc.center.x, arc.center.y, arc.start))):
+            faults.add("finite")
+        if not (math.isfinite(arc.radius) and arc.radius > 0.0):
+            faults.add("radius")
+        if not 0.0 < arc.sweep <= TAU + 1e-12:
+            faults.add("sweep")
+    if faults:
+        return faults
+    arcs = region.arcs
+    turning = 0.0
+    for arc, nxt in zip(arcs, arcs[1:] + arcs[:1]):
+        e, s = arc.point_at(arc.end), nxt.start_point
+        if math.hypot(e.x - s.x, e.y - s.y) > 1e-9:
+            faults.add("chain")
+        turn = math.remainder(nxt.start - arc.end, TAU)
+        if turn < -1e-9:
+            faults.add("reflex")
+        turning += arc.sweep + turn
+    if abs(turning - TAU) > 1e-9:
+        faults.add("turning")
+    return faults
+
+
+def midpoint_angle(arc: CircArc, centre: Point = Point(0.0, 0.0)) -> float:
+    """The polar angle of arc's midpoint about centre."""
+    m = arc.point_at(arc.start + 0.5 * arc.sweep)
+    return math.atan2(m.y - centre.y, m.x - centre.x)
+
+
 class EmptyIntersectionError(GeometryError):
     """An intersection of disks with no points at all."""
 
@@ -271,8 +316,7 @@ def naive_disk_intersection(centers, radius: float):
             arcs.append(CircArc(Point(*pts[i]), radius, lo, hi - lo))
     if not arcs:
         raise EmptyIntersectionError("no surviving boundary arcs")
-    cx, cy = mec_center.x, mec_center.y
-    arcs.sort(key=lambda a: math.atan2(a.midpoint.y - cy, a.midpoint.x - cx))
+    arcs.sort(key=lambda a: midpoint_angle(a, mec_center))
     return ArcRegion(arcs=tuple(arcs))
 
 

@@ -7,13 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (_clip_intervals, brute_mec, mc_area_disks,
-                     naive_disk_intersection)
-from reuleaux import (ArcRegion, CircArc, GeometryError, Point,
-                      RegionValidationError, area, cheeger_radius, cheeger_set,
-                      inner_parallel, min_enclosing_circle, minkowski_disk_sum,
-                      perimeter, random_polygon, region_from_json,
-                      region_to_json)
+from oracles import (_clip_intervals, brute_mec, mc_area_disks, midpoint_angle,
+                     naive_disk_intersection, region_faults)
+from reuleaux import (ArcRegion, CircArc, GeometryError, Point, area,
+                      cheeger_radius, cheeger_set, inner_parallel,
+                      min_enclosing_circle, minkowski_disk_sum, perimeter,
+                      random_polygon)
 from reuleaux.arcs import (TANGENCY_TOL, _clip_region, _star_intervals,
                            _star_pairs)
 from reuleaux.polygon import as_region, regular
@@ -146,8 +145,7 @@ class TestStarKernel:
                     ((i, CircArc(Point(*p.vertices[i].tolist()), rho, a, b - a))
                      for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()))
                      if b - a > TANGENCY_TOL),
-                    key=lambda ia: math.atan2(ia[1].midpoint.y,
-                                              ia[1].midpoint.x))
+                    key=lambda ia: midpoint_angle(ia[1]))
                 assert rows == [i for i, _ in want]
                 assert region.arcs == tuple(arc for _, arc in want)
                 dead += len(rows) < p.n
@@ -229,96 +227,53 @@ class TestMinkowski:
             assert abs(perimeter(out) - want) < 1e-9
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        region = as_region(random_polygon(3, 30, 1))
-        back = region_from_json(region_to_json(region))
-        assert len(back.arcs) == len(region.arcs)
-        assert abs(area(back) - area(region)) < 1e-15
-
-    def test_degenerate_round_trip(self):
-        p = regular(2)
-        region = inner_parallel(p, p.inradius)
-        back = region_from_json(region_to_json(region))
-        assert back.is_degenerate
-        assert abs(back.point.x - region.point.x) < 1e-15
-
-
-def arc_json(cx, cy, r, start, sweep) -> dict:
-    return {"cx": cx, "cy": cy, "r": r, "start": start, "sweep": sweep}
+def arc(cx, cy, r, start, sweep) -> CircArc:
+    return CircArc(Point(cx, cy), r, start, sweep)
 
 
 class TestValidation:
-    # regions are checked where they enter, by region_from_json
+    # the chain check every region the library builds must pass
+    # (test_properties), oracles.region_faults, on regions built directly
+    def test_closed_chains_pass(self):
+        assert region_faults(full_disk(0.0, 0.0, 2.0)) == set()
+        assert region_faults(ArcRegion.degenerate(Point(1.0, -2.0))) == set()
+        assert region_faults(as_region(regular(2))) == set()
+
     def test_broken_chain_rejected(self):
         # two arcs that do not meet end to start
-        data = {"arcs": [arc_json(0.0, 0.0, 1.0, 0.0, math.pi),
-                         arc_json(5.0, 0.0, 1.0, 0.0, math.pi)]}
-        with pytest.raises(RegionValidationError):
-            region_from_json(data)
+        region = ArcRegion(arcs=(arc(0.0, 0.0, 1.0, 0.0, math.pi),
+                                 arc(5.0, 0.0, 1.0, 0.0, math.pi)))
+        assert "chain" in region_faults(region)
 
     def test_nonpositive_radius_rejected(self):
-        with pytest.raises(ValueError):
-            region_from_json({"arcs": [arc_json(0.0, 0.0, -1.0, 0.0, 1.0)]})
+        region = ArcRegion(arcs=(arc(0.0, 0.0, -1.0, 0.0, 1.0),))
+        assert region_faults(region) == {"radius"}
 
     def test_nonpositive_sweep_rejected(self):
-        with pytest.raises(ValueError):
-            region_from_json({"arcs": [arc_json(0.0, 0.0, 1.0, 0.0, 0.0)]})
+        region = ArcRegion(arcs=(arc(0.0, 0.0, 1.0, 0.0, 0.0),))
+        assert region_faults(region) == {"sweep"}
 
     @pytest.mark.parametrize("data", [
-        [arc_json(0.0, 0.0, 1.0, 0.0, TAU)],
-        "region",
-        {},
-        {"arcs": [], "point": None},
-        {"arcs": [{"cx": 0.0, "cy": 0.0, "r": 1.0, "start": 0.0}]},
-        {"arcs": [arc_json(0.0, 0.0, "one", 0.0, TAU)]},
-        {"arcs": [arc_json(0.0, None, 1.0, 0.0, TAU)]},
-        {"arcs": "abc"},
-        {"arcs": [], "point": [1.0]},
-        {"arcs": [], "point": ["x", 0.0]},
-        # JSON numbers only: no strings, booleans or null that float() takes
-        {"arcs": [arc_json("0", 0.0, 1.0, 0.0, TAU)]},
-        {"arcs": [arc_json(0.0, False, 1.0, 0.0, TAU)]},
-        {"arcs": [arc_json(0.0, 0.0, " 1.5 ", 0.0, TAU)]},
-        {"arcs": [arc_json(0.0, 0.0, True, 0.0, TAU)]},
-        {"arcs": [arc_json(0.0, 0.0, 1.0, None, TAU)]},
-        {"arcs": [], "point": [None, 0.0]},
-        {"arcs": [], "point": [0.0, "0"]},
-        {"arcs": [], "point": [False, 0.0]},
-    ])
-    def test_malformed_json_rejected(self, data):
-        with pytest.raises(RegionValidationError):
-            region_from_json(data)
-
-    def test_integers_are_numbers(self):
-        region = region_from_json({"arcs": [arc_json(0, 0, 2, 0, TAU)]})
-        assert abs(area(region) - 4.0 * math.pi) < 1e-14
-        assert region_from_json({"arcs": [], "point": [1, -2]}).point == Point(1.0, -2.0)
-
-    @pytest.mark.parametrize("data", [
-        {"arcs": [arc_json(math.nan, 0.0, 1.0, 0.0, TAU)]},
-        {"arcs": [arc_json(0.0, 0.0, math.inf, 0.0, TAU)]},
-        {"arcs": [arc_json(0.0, 0.0, 1.0, math.nan, TAU)]},
-        {"arcs": [arc_json(0.0, 0.0, 1.0, 0.0, 7.0)]},
-        {"arcs": [], "point": [math.inf, 0.0]},
+        (ArcRegion(arcs=(arc(math.nan, 0.0, 1.0, 0.0, TAU),)), "finite"),
+        (ArcRegion(arcs=(arc(0.0, 0.0, math.inf, 0.0, TAU),)), "radius"),
+        (ArcRegion(arcs=(arc(0.0, 0.0, 1.0, math.nan, TAU),)), "finite"),
+        (ArcRegion(arcs=(arc(0.0, 0.0, 1.0, 0.0, 7.0),)), "sweep"),
+        (ArcRegion.degenerate(Point(math.inf, 0.0)), "finite"),
     ])
     def test_bad_numbers_rejected(self, data):
-        with pytest.raises(GeometryError) as info:
-            region_from_json(data)
-        assert info.type is GeometryError
+        # a bad number is its own fault: the chain is not checked
+        region, fault = data
+        assert region_faults(region) == {fault}
 
     def test_reflex_corner_and_turning_rejected(self):
         # a full circle closes on itself but turns 2pi; twice round turns 4pi
-        circle = arc_json(0.0, 0.0, 1.0, 0.0, TAU)
-        with pytest.raises(RegionValidationError, match="turning"):
-            region_from_json({"arcs": [circle, circle]})
+        circle = arc(0.0, 0.0, 1.0, 0.0, TAU)
+        assert region_faults(ArcRegion(arcs=(circle, circle))) == {"turning"}
         # the right half of the unit circle, closed through the left by the
         # long way round a circle about (-1, 0): both corners bend inward
-        dent = [arc_json(0.0, 0.0, 1.0, -math.pi / 2, math.pi),
-                arc_json(-1.0, 0.0, math.sqrt(2.0), math.pi / 4,
-                         1.5 * math.pi)]
-        with pytest.raises(RegionValidationError, match="reflex"):
-            region_from_json({"arcs": dent})
+        dent = (arc(0.0, 0.0, 1.0, -math.pi / 2, math.pi),
+                arc(-1.0, 0.0, math.sqrt(2.0), math.pi / 4, 1.5 * math.pi))
+        assert region_faults(ArcRegion(arcs=dent)) == {"reflex"}
 
 
 class TestNonFiniteInput:

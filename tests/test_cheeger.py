@@ -74,6 +74,15 @@ class TestSolver:
         shrunk = inner_parallel(p, p.inradius)
         assert area(shrunk) < 1e-12
 
+    @pytest.mark.parametrize("N,g", [(20, 3e-12), (50, 3e-12), (500, 3e-12),
+                                     (500, 1e-11), (500, 3e-11)])
+    def test_inner_parallel_just_short_of_the_inradius(self, N, g):
+        # every inner arc is thinner than TANGENCY_TOL here, though the
+        # depth is more than TANGENCY_TOL short of the inradius
+        p = regular(N)
+        region = inner_parallel(p, p.inradius - g)
+        assert region.is_degenerate and area(region) == 0.0
+
     def test_defining_equation(self):
         for seed in (0, 5):
             p = random_polygon(2, 30, seed=seed)

@@ -8,11 +8,12 @@ import time
 import numpy as np
 import pytest
 
+from oracles import reuleaux_faults
 from reuleaux import (GeometryError, contact_points, from_vertices,
                       inradius_from_sector, random_polygon, regular,
                       sector_length_lower_bound, sectors)
-from reuleaux.polygon import (AdjacencyError, VertexCountError, WidthError,
-                              polygon_from_json, polygon_to_json)
+from reuleaux.polygon import (AdjacencyError, InvalidPolygon, VertexCountError,
+                              WidthError, polygon_from_json, polygon_to_json)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -111,6 +112,20 @@ class TestFromVertices:
         with pytest.raises((AdjacencyError, WidthError)):
             from_vertices(v)
 
+    def test_width_alone_rejected(self):
+        # arc 0 of random_polygon(2, 30, 2) collapsed to 1e-10 by a slide,
+        # each vertex then moved by about 5e-10: the neighbour and arc tests
+        # pass within their 1e-9 slack, and only the pairwise test sees
+        # vertices 1 and 3 more than 1 + 1e-9 apart
+        v = [[-0.06409544230772948, 0.42857429211418435],
+             [0.2472918671112609, -0.5217087947807906],
+             [0.32816713562490873, 0.47501543539299934],
+             [-0.5754590033878099, 0.04669335828049651],
+             [0.2472918670845863, -0.5217087941686614]]
+        assert reuleaux_faults(v) == {"width"}
+        with pytest.raises(WidthError, match="vertices 1 and 3"):
+            from_vertices(v)
+
     def test_clockwise_rejected(self):
         with pytest.raises(AdjacencyError, match="clockwise"):
             from_vertices(regular(2).vertices[::-1])
@@ -151,6 +166,14 @@ class TestRandomWalk:
             for i in range(p.n):
                 for j in range(i + 1, p.n):
                     assert np.linalg.norm(v[i] - v[j]) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("steps,seed,name", [(-5, 1, "steps"),
+                                                 (10, -1, "seed")])
+    def test_negative_argument_refused(self, steps, seed, name):
+        # numpy refused a negative seed untyped; a negative step count
+        # returned the regular polygon
+        with pytest.raises(InvalidPolygon, match=f"{name} >= 0"):
+            random_polygon(2, steps, seed)
 
     def test_triangle_has_no_moves(self):
         # only one Reuleaux triangle exists, so the walk returns it unchanged
