@@ -1,8 +1,8 @@
 """Planar constant-width bodies: Cheeger sets, Blaschke deformations, bounds."""
 from __future__ import annotations
 
-from .arcs import (ArcRegion, CircArc, GeometryError, Point, area,
-                   min_enclosing_circle, minkowski_disk_sum, perimeter)
+from .arcs import (ArcRegion, GeometryError, area, min_enclosing_circle,
+                   minkowski_disk_sum, perimeter)
 from .blaschke import (ArcCollapseError, AuxParams, DeformationTrajectory,
                        InvalidDeformation, TrajectoryStep, aux_F, aux_G, aux_H,
                        aux_U, deform, local_maximize, optimality_residual,

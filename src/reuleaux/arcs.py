@@ -3,9 +3,9 @@
 Everything downstream (Reuleaux polygons, inner parallel bodies, Cheeger sets)
 is an intersection of equal-radius disks or a disk Minkowski sum of one, so
 this module only has to be correct for convex regions whose boundary is a
-closed chain of ccw circular arcs. Point, CircArc and ArcRegion do not check
-themselves: no region is read from outside, and the library builds every
-region from numbers it has already checked.
+closed chain of ccw circular arcs. An ArcRegion does not check itself: no
+region is read from outside, and the library builds every region from
+numbers it has already checked.
 """
 from __future__ import annotations
 
@@ -26,81 +26,44 @@ class GeometryError(ValueError):
     pass
 
 
-def _wrap(angle: float) -> float:
-    # wrap into (-pi, pi]
-    w = math.fmod(angle, TAU)
-    if w <= -math.pi:
-        w += TAU
-    elif w > math.pi:
-        w -= TAU
-    return w
-
-
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
-class CircArc:
-    """Counterclockwise arc: center + radius * e^{i s}, s in [start, start+sweep]."""
-
-    center: Point
-    radius: float
-    start: float
-    sweep: float
-
-    @property
-    def end(self) -> float:
-        return self.start + self.sweep
-
-    def point_at(self, s: float) -> Point:
-        return Point(self.center.x + self.radius * math.cos(s),
-                     self.center.y + self.radius * math.sin(s))
-
-    @property
-    def start_point(self) -> Point:
-        return self.point_at(self.start)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArcRegion:
-    """Convex region bounded by a closed ccw chain of arcs.
+    """Convex region bounded by a closed ccw chain of m arcs, as columns: arc
+    k is centre[k] + radius[k] * e^{i s}, s in [start[k], start[k] + sweep[k]].
 
-    A degenerate region is a single point: no arcs, zero area and perimeter.
+    A point is one arc of radius 0 and sweep 2 pi, with zero area and
+    perimeter.
     """
 
-    arcs: tuple[CircArc, ...]
-    point: Point | None = None
+    centre: np.ndarray   # (m, 2)
+    radius: np.ndarray   # (m,)
+    start: np.ndarray    # (m,)
+    sweep: np.ndarray    # (m,)
 
     @classmethod
-    def degenerate(cls, point: Point) -> "ArcRegion":
-        return cls(arcs=(), point=point)
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.point is not None
+    def circle(cls, x: float, y: float, r: float) -> "ArcRegion":
+        return cls(np.array([[x, y]], dtype=float),
+                   np.array([r], dtype=float), np.zeros(1), np.full(1, TAU))
 
 
 def area(region: ArcRegion) -> float:
     """Signed area by Green's theorem; corners contribute nothing."""
-    if region.is_degenerate:
-        return 0.0
-    total = 0.0
-    for arc in region.arcs:
-        r, cx, cy = arc.radius, arc.center.x, arc.center.y
-        lo, hi = arc.start, arc.end
-        total += 0.5 * r * r * arc.sweep
-        total += 0.5 * r * (cx * (math.sin(hi) - math.sin(lo))
-                            - cy * (math.cos(hi) - math.cos(lo)))
-    return total
+    r, lo, sweep = region.radius, region.start, region.sweep
+    hi = lo + sweep
+    cx, cy = region.centre.T
+    half_r = 0.5 * r
+    # both terms of each arc, added in chain order
+    terms = np.empty(2 * len(r))
+    terms[0::2] = half_r * r * sweep
+    terms[1::2] = half_r * (cx * (np.sin(hi) - np.sin(lo))
+                            - cy * (np.cos(hi) - np.cos(lo)))
+    return float(np.cumsum(terms)[-1])
 
 
 def perimeter(region: ArcRegion) -> float:
-    if region.is_degenerate:
-        return 0.0
-    return sum(arc.radius * arc.sweep for arc in region.arcs)
+    # in chain order: np.sum adds pairwise, and sum() of floats is
+    # compensated on Python 3.12+
+    return float(np.cumsum(region.radius * region.sweep)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +142,8 @@ def _mec_one_boundary(points, p):
     return c
 
 
-def min_enclosing_circle(points: Iterable) -> tuple[Point, float]:
+def min_enclosing_circle(points: Iterable) -> tuple[float, float, float]:
+    """The smallest circle holding every point, as (x, y, r)."""
     pts = [(float(p[0]), float(p[1])) for p in points]
     if not pts:
         raise GeometryError("need at least one point")
@@ -191,7 +155,7 @@ def min_enclosing_circle(points: Iterable) -> tuple[Point, float]:
         if not math.hypot(p[0] - c[0], p[1] - c[1]) <= bound:
             c = _mec_one_boundary(pts[: i + 1], p)
             bound = _bound(c)
-    return Point(c[0], c[1]), c[2]
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +261,7 @@ def _star_intervals(pairs: _StarPairs,
 
 
 def _clip_region(pairs: _StarPairs,
-                 radius: float) -> tuple[ArcRegion, list[int]]:
+                 radius: float) -> tuple[ArcRegion, np.ndarray]:
     """The intersection of the disks B(P_i, radius), P_i the vertices
     _star_pairs was given, with the origin in the intersection's interior:
     its arcs, and the row of pts each arc is centred at.
@@ -309,25 +273,24 @@ def _clip_region(pairs: _StarPairs,
     around an interior point.
     """
     lo, hi = _star_intervals(pairs, radius)
-    pts, lo, hi = pairs.pts.tolist(), lo.tolist(), hi.tolist()
-    n = len(pts)
-    rows, arcs, angles = [], [], []
-    for k in range(n):
-        i = -2 * k % n                    # ccw: i, i - 2, i - 4, ...
-        a, sweep = lo[i], hi[i] - lo[i]
-        if sweep > TANGENCY_TOL:
-            x, y = pts[i]
-            mid = a + 0.5 * sweep
-            rows.append(i)
-            arcs.append(CircArc(Point(x, y), radius, a, sweep))
-            angles.append(math.atan2(y + radius * math.sin(mid),
-                                     x + radius * math.cos(mid)))
-    if not arcs:
+    n = len(lo)
+    ring = -2 * np.arange(n) % n          # ccw: i, i - 2, i - 4, ...
+    ring = ring[hi[ring] - lo[ring] > TANGENCY_TOL]
+    if not len(ring):
         # every arc thinner than TANGENCY_TOL: a depth within rounding of
         # the inradius, where inner_parallel returns the point instead
         raise GeometryError("no surviving boundary arcs")
-    k = angles.index(min(angles))
-    return ArcRegion(arcs=tuple(arcs[k:] + arcs[:k])), rows[k:] + rows[:k]
+    start = lo[ring]
+    sweep = hi[ring] - start
+    mid = start + 0.5 * sweep
+    centre = pairs.pts[ring]
+    # only the first arc is chosen by this angle, so numpy's atan2 serves
+    k = int(np.argmin(np.arctan2(centre[:, 1] + radius * np.sin(mid),
+                                 centre[:, 0] + radius * np.cos(mid))))
+    if k:
+        ring, centre, start, sweep = (np.concatenate((c[k:], c[:k]))
+                                      for c in (ring, centre, start, sweep))
+    return ArcRegion(centre, np.full(len(ring), radius), start, sweep), ring
 
 
 def minkowski_disk_sum(region: ArcRegion, rho: float) -> ArcRegion:
@@ -340,17 +303,26 @@ def minkowski_disk_sum(region: ArcRegion, rho: float) -> ArcRegion:
         raise GeometryError(f"rho must be finite and nonnegative, got {rho}")
     if rho == 0.0:
         return region
-    if region.is_degenerate:
-        disk = CircArc(region.point, rho, 0.0, TAU)
-        return ArcRegion(arcs=(disk,))
-    out: list[CircArc] = []
-    n = len(region.arcs)
-    for i, arc in enumerate(region.arcs):
-        out.append(CircArc(arc.center, arc.radius + rho, arc.start, arc.sweep))
-        end = arc.start + arc.sweep
-        turn = _wrap(region.arcs[(i + 1) % n].start - end)
-        if turn > TANGENCY_TOL:
-            c, r = arc.center, arc.radius
-            corner = Point(c.x + r * math.cos(end), c.y + r * math.sin(end))
-            out.append(CircArc(corner, rho, end, turn))
-    return ArcRegion(arcs=tuple(out))
+    r, start, sweep = region.radius, region.start, region.sweep
+    m = len(r)
+    end = start + sweep
+    # the turn at the corner after each arc, wrapped into (-pi, pi]
+    turn = np.empty(m)
+    turn[:-1] = start[1:]
+    turn[-1] = start[0]
+    turn = np.fmod(turn - end, TAU)
+    turn[turn <= -math.pi] += TAU
+    turn[turn > math.pi] -= TAU
+    # arc k in slot 2k, the fillet at its end corner in slot 2k + 1
+    centre = np.empty((2 * m, 2))
+    radii, starts, sweeps = np.empty(2 * m), np.empty(2 * m), np.empty(2 * m)
+    centre[0::2] = region.centre
+    centre[1::2, 0] = region.centre[:, 0] + r * np.cos(end)
+    centre[1::2, 1] = region.centre[:, 1] + r * np.sin(end)
+    radii[0::2] = r + rho
+    radii[1::2] = rho
+    starts[0::2], starts[1::2] = start, end
+    sweeps[0::2], sweeps[1::2] = sweep, turn
+    keep = np.ones(2 * m, dtype=bool)
+    keep[1::2] = turn > TANGENCY_TOL
+    return ArcRegion(centre[keep], radii[keep], starts[keep], sweeps[keep])

@@ -14,10 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from .arcs import (SQRT3, TANGENCY_TOL, TAU, ArcRegion, CircArc,
-                   GeometryError, Point, _clip_region, _star_intervals,
-                   _star_pairs, _StarPairs, area, minkowski_disk_sum,
-                   perimeter)
+from .arcs import (SQRT3, TANGENCY_TOL, TAU, ArcRegion, GeometryError,
+                   _clip_region, _star_intervals, _star_pairs, _StarPairs,
+                   area, minkowski_disk_sum, perimeter)
 from .polygon import ReuleauxPolygon
 
 
@@ -32,7 +31,6 @@ class CheegerSolution:
 
     R: float
     h: float
-    a: float                       # (1 - R)^2
     inner: ArcRegion
     cheeger_set: ArcRegion
     contacts: tuple[tuple[int, float, float], ...]
@@ -81,7 +79,7 @@ def inner_parallel(poly: ReuleauxPolygon, R: float) -> ArcRegion:
             return _clip_region(_star_pairs(poly.vertices), 1.0 - R)[0]
         except GeometryError:  # no arc survives
             pass
-    return ArcRegion.degenerate(Point(0.0, 0.0))
+    return ArcRegion.circle(0.0, 0.0, 0.0)
 
 
 def _newton(pairs: _StarPairs, inradius: float, tol: float) -> float:
@@ -132,21 +130,18 @@ def cheeger_set(poly: ReuleauxPolygon, tol: float = 1e-12) -> CheegerSolution:
     # R is below the inradius, so the inner body is fat and clips directly
     inner, rows = _clip_region(pairs, 1.0 - R)
     cset = minkowski_disk_sum(inner, R)
-    alphas, js = poly.alphas.tolist(), poly.arc_lengths.tolist()
-    contacts = []
-    for l, arc in zip(rows, inner.arcs):
-        # shift the interval onto the same branch as the outer arc's span
-        arc_mid = alphas[l] + 0.5 * js[l]
-        lo = arc.start + TAU * round((arc_mid - (arc.start + 0.5 * arc.sweep)) / TAU)
-        contacts.append((l, lo, lo + arc.sweep))
-    contacts.sort()
+    # shift each interval onto the same branch as its outer arc's span
+    start, sweep = inner.start, inner.sweep
+    arc_mid = poly.alphas[rows] + 0.5 * poly.arc_lengths[rows]
+    lo = start + TAU * np.rint((arc_mid - (start + 0.5 * sweep)) / TAU)
+    contacts = sorted(zip(rows.tolist(), lo.tolist(), (lo + sweep).tolist()))
     h = 1.0 / R
     csa = area(cset)
     csp = perimeter(cset)
     if abs(csp / csa - h) > max(1e-9, 50.0 * tol) * h:
         raise GeometryError("Cheeger set perimeter/area ratio disagrees with 1/R")
-    return CheegerSolution(R=R, h=h, a=(1.0 - R) ** 2, inner=inner,
-                           cheeger_set=cset, contacts=tuple(contacts))
+    return CheegerSolution(R=R, h=h, inner=inner, cheeger_set=cset,
+                           contacts=tuple(contacts))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +185,6 @@ def disk_cheeger_radius(width: float, tol: float = 1e-12) -> float:
     def gap(R: float) -> float:
         if half - R <= 0.0:
             return -math.pi * R * R
-        disk = ArcRegion(arcs=(CircArc(Point(0.0, 0.0), half - R, 0.0, TAU),))
-        return area(disk) - math.pi * R * R
+        return area(ArcRegion.circle(0.0, 0.0, half - R)) - math.pi * R * R
 
     return bisect_root(gap, 0.0, half, tol)

@@ -17,8 +17,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .arcs import ArcRegion, GeometryError, Point
+from .arcs import ArcRegion, GeometryError
 from .blaschke import local_maximize, trajectory_csv
 from .bounds import table1, table1_check, table1_csv
 from .cheeger import CheegerSolution, cheeger_set
@@ -84,15 +86,18 @@ def _svg_path(region: ArcRegion) -> str:
     bodies, inner bodies and Cheeger sets: never a point or a full circle.
     """
     o = SVG_SIZE / 2.0
-
-    def at(p: Point) -> str:
-        return f"{o + SVG_SCALE * p.x:.4f} {o - SVG_SCALE * p.y:.4f}"
-
-    d = [f"M {at(region.arcs[0].start_point)}"]
-    for arc in region.arcs:
-        r = f"{SVG_SCALE * arc.radius:.4f}"
-        d.append(f"A {r} {r} 0 {int(arc.sweep > math.pi)} 0 "
-                 f"{at(arc.point_at(arc.end))}")
+    cx, cy = region.centre.T
+    r, start, sweep = region.radius, region.start, region.sweep
+    x0 = o + SVG_SCALE * (cx[0] + r[0] * np.cos(start[0]))
+    y0 = o - SVG_SCALE * (cy[0] + r[0] * np.sin(start[0]))
+    # each arc's end point
+    end = start + sweep
+    x = (o + SVG_SCALE * (cx + r * np.cos(end))).tolist()
+    y = (o - SVG_SCALE * (cy + r * np.sin(end))).tolist()
+    d = [f"M {x0:.4f} {y0:.4f}"]
+    d += [f"A {q:.4f} {q:.4f} 0 {int(large)} 0 {u:.4f} {v:.4f}"
+          for q, large, u, v in zip((SVG_SCALE * r).tolist(),
+                                    (sweep > math.pi).tolist(), x, y)]
     d.append("Z")
     return " ".join(d)
 

@@ -126,8 +126,8 @@ class ReuleauxPolygon:
 def _canonical(verts: np.ndarray) -> ReuleauxPolygon:
     # the polygon moved so its incenter (the centre of its minimal enclosing
     # circle) is the origin; does not check the vertices
-    center, mec_r = min_enclosing_circle(verts)
-    verts = verts - np.array([center.x, center.y])
+    cx, cy, mec_r = min_enclosing_circle(verts)
+    verts = verts - np.array([cx, cy])
     alphas, betas, js = _angles_of(verts)
     for arr in (verts, alphas, betas, js):
         arr.setflags(write=False)

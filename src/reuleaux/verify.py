@@ -105,8 +105,10 @@ def _radial_area(vertices: np.ndarray, radius: float,
 
 def _region_radial_area(poly: ReuleauxPolygon) -> float:
     region = as_region(poly)
-    corners = np.array([math.atan2(a.start_point.y, a.start_point.x)
-                        for a in region.arcs])
+    r, s = region.radius, region.start
+    xs = (region.centre[:, 0] + r * np.cos(s)).tolist()
+    ys = (region.centre[:, 1] + r * np.sin(s)).tolist()
+    corners = np.array([math.atan2(y, x) for x, y in zip(xs, ys)])
     return _radial_area(poly.vertices, 1.0, corners)
 
 

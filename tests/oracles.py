@@ -3,13 +3,14 @@
 Everything here is deliberately naive: Monte Carlo areas, cubic-time
 enclosing circles, disk-by-disk clipping, an all-pairs clip kernel,
 golden-section search, a check that a region is a closed convex ccw arc
-chain. Tests compare the fast library code against these with explicit
-tolerances. The scalar closed forms that only tests call live
-here too: the contact intervals of the Cheeger set (contact_angles,
-predicted_contact_start/_end), the upper bounds on h with the
-segment-formula area, the normal speed of a Blaschke move, and the inradius
-floor at a concrete sector length. None of them reads the clip
-kernel or the Cheeger solver (test_imports checks this).
+chain, the per-arc loops of area, perimeter and the disk sum. Tests
+compare the fast library code against these with explicit tolerances.
+The scalar closed forms that only tests call live here too: the contact
+intervals of the Cheeger set (contact_angles, predicted_contact_start/_end),
+the upper bounds on h with the segment-formula area, the normal speed of a
+Blaschke move, and the inradius floor at a concrete sector length. None of
+them reads the clip kernel or the Cheeger solver (test_imports checks
+this).
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ import math
 
 import numpy as np
 
-from reuleaux.arcs import (TANGENCY_TOL, TAU, ArcRegion, CircArc,
-                           GeometryError, Point, area, min_enclosing_circle)
+from reuleaux.arcs import (TANGENCY_TOL, TAU, ArcRegion, GeometryError, area,
+                           min_enclosing_circle)
 from reuleaux.bounds import inradius_lower_bound_factors
 from reuleaux.polygon import MIN_ARC, regular
 
@@ -43,13 +44,10 @@ def mc_area_region(region, n: int = 400_000, seed: int = 0) -> float:
     """Monte Carlo area of an intersection-of-disks region.
 
     Works because every region produced by the library is an intersection
-    of the disks carrying its arcs.
+    of the disks carrying its arcs (a point: one disk of radius 0).
     """
-    if region.is_degenerate:
-        return 0.0
-    centers = [(a.center.x, a.center.y) for a in region.arcs]
-    radius = region.arcs[0].radius
-    return mc_area_disks(centers, radius, n=n, seed=seed)
+    return mc_area_disks(region.centre, float(region.radius[0]), n=n,
+                         seed=seed)
 
 
 def _circle_from3(a, b, c):
@@ -214,48 +212,105 @@ def naive_walk(N: int, steps: int, seed: int) -> np.ndarray:
     return verts
 
 
-def region_faults(region) -> set[str]:
-    """Which conditions of a finite point or a closed convex ccw arc chain fail.
+def is_point(region) -> bool:
+    """Whether region is the point form: one arc of radius 0."""
+    return len(region.radius) == 1 and region.radius[0] == 0.0
 
-    "finite": a non-finite coordinate or start angle. "radius": a radius
-    not positive and finite. "sweep": a sweep outside (0, 2pi]. The chain
-    is checked only when every number passes: "chain", an arc's end more
-    than 1e-9 from the next arc's start; "reflex", an inward corner (a
-    turn below -1e-9); "turning", a total tangent turning 1e-9 or more
+
+def arc_rows(region) -> list[tuple[float, float, float, float, float]]:
+    """Each arc of region as (cx, cy, r, start, sweep), in chain order."""
+    return [(cx, cy, r, s, w) for (cx, cy), r, s, w in zip(
+        region.centre.tolist(), region.radius.tolist(),
+        region.start.tolist(), region.sweep.tolist())]
+
+
+def loop_area(region) -> float:
+    """Green's area by the per-arc loop the library used before its
+    columns: both terms of each arc added in chain order."""
+    total = 0.0
+    for cx, cy, r, start, sweep in arc_rows(region):
+        end = start + sweep
+        total += 0.5 * r * r * sweep
+        total += 0.5 * r * (cx * (math.sin(end) - math.sin(start))
+                            - cy * (math.cos(end) - math.cos(start)))
+    return total
+
+
+def loop_perimeter(region) -> float:
+    """The perimeter, added arc by arc in chain order."""
+    total = 0.0
+    for _, _, r, _, sweep in arc_rows(region):
+        total += r * sweep
+    return total
+
+
+def loop_disk_sum(region, rho: float) -> list[tuple]:
+    """The arcs of region + a disk of radius rho by the per-arc loop the
+    library used before its columns: each arc moved out by rho, then a
+    fillet about the corner after it where the turn, wrapped into
+    (-pi, pi], is above TANGENCY_TOL."""
+    arcs = arc_rows(region)
+    out = []
+    for k, (cx, cy, r, start, sweep) in enumerate(arcs):
+        out.append((cx, cy, r + rho, start, sweep))
+        end = start + sweep
+        turn = math.fmod(arcs[(k + 1) % len(arcs)][3] - end, TAU)
+        if turn <= -math.pi:
+            turn += TAU
+        elif turn > math.pi:
+            turn -= TAU
+        if turn > TANGENCY_TOL:
+            out.append((cx + r * math.cos(end), cy + r * math.sin(end), rho,
+                        end, turn))
+    return out
+
+
+def region_faults(region) -> set[str]:
+    """Which conditions of a closed convex ccw arc chain fail.
+
+    "finite": a non-finite centre coordinate or start angle. "radius": a
+    radius not finite, negative, or 0 in a chain of more than one arc (a
+    point is one arc of radius 0). "sweep": a sweep outside (0, 2pi]. The
+    chain is checked only when every number passes: "chain", an arc's end
+    more than 1e-9 from the next arc's start; "reflex", an inward corner
+    (a turn below -1e-9); "turning", a total tangent turning 1e-9 or more
     from 2pi.
     """
-    if region.is_degenerate:
-        p = region.point
-        return set() if math.isfinite(p.x) and math.isfinite(p.y) else {"finite"}
+    arcs = arc_rows(region)
     faults = set()
-    for arc in region.arcs:
-        if not all(map(math.isfinite, (arc.center.x, arc.center.y, arc.start))):
+    for cx, cy, r, start, sweep in arcs:
+        if not all(map(math.isfinite, (cx, cy, start))):
             faults.add("finite")
-        if not (math.isfinite(arc.radius) and arc.radius > 0.0):
+        if not (math.isfinite(r) and (r > 0.0 or r == 0.0 and len(arcs) == 1)):
             faults.add("radius")
-        if not 0.0 < arc.sweep <= TAU + 1e-12:
+        if not 0.0 < sweep <= TAU + 1e-12:
             faults.add("sweep")
     if faults:
         return faults
-    arcs = region.arcs
     turning = 0.0
-    for arc, nxt in zip(arcs, arcs[1:] + arcs[:1]):
-        e, s = arc.point_at(arc.end), nxt.start_point
-        if math.hypot(e.x - s.x, e.y - s.y) > 1e-9:
+    for (cx, cy, r, start, sweep), (nx, ny, nr, nstart, _) in zip(
+            arcs, arcs[1:] + arcs[:1]):
+        end = start + sweep
+        ex, ey = cx + r * math.cos(end), cy + r * math.sin(end)
+        sx, sy = nx + nr * math.cos(nstart), ny + nr * math.sin(nstart)
+        if math.hypot(ex - sx, ey - sy) > 1e-9:
             faults.add("chain")
-        turn = math.remainder(nxt.start - arc.end, TAU)
+        turn = math.remainder(nstart - end, TAU)
         if turn < -1e-9:
             faults.add("reflex")
-        turning += arc.sweep + turn
+        turning += sweep + turn
     if abs(turning - TAU) > 1e-9:
         faults.add("turning")
     return faults
 
 
-def midpoint_angle(arc: CircArc, centre: Point = Point(0.0, 0.0)) -> float:
-    """The polar angle of arc's midpoint about centre."""
-    m = arc.point_at(arc.start + 0.5 * arc.sweep)
-    return math.atan2(m.y - centre.y, m.x - centre.x)
+def midpoint_angle(centre, radius: float, start: float, sweep: float,
+                   about=(0.0, 0.0)) -> float:
+    """The polar angle about `about` of the midpoint of the arc
+    centre + radius * e^{i s}, s in [start, start + sweep]."""
+    s = start + 0.5 * sweep
+    return math.atan2(centre[1] + radius * math.sin(s) - about[1],
+                      centre[0] + radius * math.cos(s) - about[0])
 
 
 class EmptyIntersectionError(GeometryError):
@@ -269,7 +324,7 @@ def naive_disk_intersection(centers, radius: float):
     surviving interval of each circle is narrowed by every other disk in
     turn, each new interval put on the branch nearest the running midpoint.
     It shares only the minimal enclosing circle (for the empty and
-    degenerate tests and the arc order) and the region records with the
+    degenerate tests and the arc order) and the region record with the
     library.
     """
     if not (math.isfinite(radius) and radius > 0.0):
@@ -279,14 +334,13 @@ def naive_disk_intersection(centers, radius: float):
         if all(math.hypot(x - p[0], y - p[1]) > 1e-14 for p in pts):
             pts.append((float(x), float(y)))
     n = len(pts)
-    mec_center, mec_r = min_enclosing_circle(pts)
+    mx, my, mec_r = min_enclosing_circle(pts)
     if mec_r > radius + TANGENCY_TOL:
         raise EmptyIntersectionError("empty intersection")
     if radius - mec_r <= TANGENCY_TOL:
-        return ArcRegion.degenerate(mec_center)
+        return ArcRegion.circle(mx, my, 0.0)
     if n == 1:
-        return ArcRegion(arcs=(CircArc(Point(*pts[0]), radius, 0.0,
-                                       2.0 * math.pi),))
+        return ArcRegion.circle(*pts[0], radius)
     arcs = []
     for i in range(n):
         lo = hi = None
@@ -313,11 +367,14 @@ def naive_disk_intersection(centers, radius: float):
                 alive = False
                 break
         if alive:
-            arcs.append(CircArc(Point(*pts[i]), radius, lo, hi - lo))
+            arcs.append((pts[i], lo, hi - lo))
     if not arcs:
         raise EmptyIntersectionError("no surviving boundary arcs")
-    arcs.sort(key=lambda a: midpoint_angle(a, mec_center))
-    return ArcRegion(arcs=tuple(arcs))
+    arcs.sort(key=lambda a: midpoint_angle(a[0], radius, a[1], a[2],
+                                           (mx, my)))
+    centre, start, sweep = zip(*arcs)
+    return ArcRegion(np.array(centre), np.full(len(arcs), radius),
+                     np.array(start), np.array(sweep))
 
 
 def _clip_intervals(pts, rho: float) -> tuple[np.ndarray, np.ndarray]:
@@ -348,20 +405,21 @@ def assert_same_region(got, want, rho: float) -> None:
     centre, where atan2 jumps), with ends and areas within a few ulps; or
     both a point, within 1e-12 of each other (the naive route puts it at
     the centres' enclosing circle)."""
-    assert got.is_degenerate == want.is_degenerate
-    if got.is_degenerate:
-        assert math.hypot(got.point.x - want.point.x,
-                          got.point.y - want.point.y) <= 1e-12
+    assert is_point(got) == is_point(want)
+    if is_point(got):
+        (gx, gy), (wx, wy) = got.centre.tolist()[0], want.centre.tolist()[0]
+        assert math.hypot(gx - wx, gy - wy) <= 1e-12
         return
-    arcs = list(got.arcs)
-    order = [a.center for a in arcs]
-    if want.arcs[0].center in order:
-        k = order.index(want.arcs[0].center)
+    arcs, want_arcs = arc_rows(got), arc_rows(want)
+    order = [a[:2] for a in arcs]
+    if want_arcs[0][:2] in order:
+        k = order.index(want_arcs[0][:2])
         arcs = arcs[k:] + arcs[:k]
-    assert [a.center for a in arcs] == [a.center for a in want.arcs]
-    for a, b in zip(arcs, want.arcs):
-        assert abs(math.remainder(a.start - b.start, 2.0 * math.pi)) <= 1e-12
-        assert abs(math.remainder(a.end - b.end, 2.0 * math.pi)) <= 1e-12
+    assert [a[:2] for a in arcs] == [b[:2] for b in want_arcs]
+    for (*_, a_start, a_sweep), (*_, b_start, b_sweep) in zip(arcs, want_arcs):
+        assert abs(math.remainder(a_start - b_start, 2.0 * math.pi)) <= 1e-12
+        assert abs(math.remainder((a_start + a_sweep) - (b_start + b_sweep),
+                                  2.0 * math.pi)) <= 1e-12
     assert abs(area(got) - area(want)) <= 1e-12 * rho * rho
 
 

@@ -166,7 +166,7 @@ class TestResidual:
         # derivative bracket recovered from the geometric solver
         p = random_polygon(3, 40, seed=21)
         sol = cheeger_set(p)
-        root_a = math.sqrt(sol.a)
+        root_a = math.sqrt(AuxParams(sol.R).a)
         c_area = area(sol.cheeger_set)
         for k in range(p.n):
             bracket = shape_derivative(p, k, sol) * c_area / (1.0 - sol.h)

@@ -10,7 +10,8 @@ import reuleaux.arcs as arcs_module
 import reuleaux.cheeger as cheeger_module
 import reuleaux.polygon as polygon_module
 from oracles import (EmptyContactError, _u_shift, assert_same_region,
-                     contact_angles, golden_min, naive_disk_intersection,
+                     contact_angles, golden_min, is_point,
+                     naive_disk_intersection,
                      predicted_contact_end, predicted_contact_start,
                      upper_bounds)
 from reuleaux import (area, as_region, cheeger_radius, cheeger_set, deform,
@@ -81,7 +82,7 @@ class TestSolver:
         # depth is more than TANGENCY_TOL short of the inradius
         p = regular(N)
         region = inner_parallel(p, p.inradius - g)
-        assert region.is_degenerate and area(region) == 0.0
+        assert is_point(region) and area(region) == 0.0
 
     def test_defining_equation(self):
         for seed in (0, 5):
@@ -232,8 +233,7 @@ class TestContacts:
         p = regular(2)
         sol = cheeger_set(p)
         doctored = CheegerSolution(
-            R=sol.R, h=sol.h, a=sol.a, inner=sol.inner,
-            cheeger_set=sol.cheeger_set,
+            R=sol.R, h=sol.h, inner=sol.inner, cheeger_set=sol.cheeger_set,
             contacts=tuple(c for c in sol.contacts if c[0] != 2))
         with pytest.raises(EmptyContactError):
             contact_angles(p, doctored, 2)

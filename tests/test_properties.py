@@ -77,11 +77,11 @@ def test_translation_invariance(p, dx, dy):
 @given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
                 min_size=2, max_size=12))
 def test_mec_matches_brute_force(pts):
-    c, r = min_enclosing_circle(pts)
+    cx, cy, r = min_enclosing_circle(pts)
     (bx, by), br = brute_mec(pts)
     assert abs(r - br) < 1e-7
     for x, y in pts:
-        assert math.hypot(x - c.x, y - c.y) <= r + 1e-9
+        assert math.hypot(x - cx, y - cy) <= r + 1e-9
 
 
 @settings(max_examples=25, deadline=None)
