@@ -2,12 +2,14 @@
 
 Each test drives a named check from reuleaux.verify, which recomputes the
 quantity from scratch and compares against frozen expectations at the stated
-tolerance. Run with -v to get the per-criterion record.
+tolerance; its message and details must also match tests/golden/verify.json.
+Run with -v to get the per-criterion record.
 """
 from __future__ import annotations
 
 import pytest
 
+import golden
 from reuleaux import verify
 from reuleaux.verify import run_checks
 
@@ -18,6 +20,10 @@ def _run(name: str) -> None:
     line = f"{result.name}: {result.message} [{detail}]"
     print(("PASS " if result.passed else "FAIL ") + line)
     assert result.passed, line
+    # the check's entry of `verify --format json`, against the golden file
+    problem = golden.mismatch(golden.verify_entry(result),
+                              golden.golden_verify_entry(name))
+    assert problem is None, f"{name} vs golden ({golden.mode()}): {problem}"
 
 
 def test_criterion_01_triangle_radius_and_constant():
