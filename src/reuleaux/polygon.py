@@ -242,11 +242,52 @@ def _arc_length(prv, p, nxt) -> float:
             - math.atan2(nxt[1] - p[1], nxt[0] - p[0])) % TAU
 
 
+_U32 = 0xFFFF_FFFF
+
+
+def _raw_words(bitgen: np.random.PCG64, count: int):
+    while True:
+        yield from bitgen.random_raw(count).tolist()
+
+
+def _walk_draws(seed: int, n: int, steps: int) -> tuple[list[int], list[float]]:
+    """The arc indices and slides that `steps` rounds of
+    default_rng(seed).integers(n) then .uniform(-0.02, 0.02) would draw,
+    decoded from blocks of the same PCG64 words (one numpy call, not two
+    per step).
+
+    integers(n) is numpy's 32-bit Lemire draw with its rejection loop, on
+    the low half of a fresh word and, at the next draw, on the high half
+    it kept; uniform takes a whole word, -0.02 + 0.04 * ((w >> 11) 2^-53).
+    From 2^32 numpy draws 64-bit integers, which this does not decode.
+    """
+    if not 2 <= n < 1 << 32:
+        raise ValueError(f"walk draws want 2 <= n < 2**32, got {n}")
+    words = _raw_words(np.random.PCG64(seed), 2 * steps + 2)
+    threshold = (1 << 32) % n    # below it a draw is rejected
+    half = None
+    ks, epss = [], []
+    for _ in range(steps):
+        while True:
+            if half is None:
+                w = next(words)
+                u, half = w & _U32, w >> 32
+            else:
+                u, half = half, None
+            m = u * n
+            if m & _U32 >= threshold:
+                break
+        ks.append(m >> 32)
+        epss.append(-0.02 + 0.04 * ((next(words) >> 11) * 2.0**-53))
+    return ks, epss
+
+
 def random_polygon(N: int, steps: int, seed: int) -> ReuleauxPolygon:
     """Random Blaschke walk from regular(N); deterministic in the seed.
 
-    Each step draws an arc index and a slide eps in [-0.02, 0.02] and applies
-    it only if the result stays a width-one polygon with every arc > 0.01.
+    Each step draws an arc index and a slide eps in [-0.02, 0.02], as
+    default_rng(seed) would (see _walk_draws), and applies it only if the
+    result stays a width-one polygon with every arc > 0.01.
     A slide at k moves P_k and P_{k+1} only, so a step recomputes arcs
     k-1 .. k+2 and no other; the walk runs on Python floats and builds the
     arrays once, for the canonical polygon it returns.
@@ -259,13 +300,10 @@ def random_polygon(N: int, steps: int, seed: int) -> ReuleauxPolygon:
     poly = regular(N)
     if N == 1:
         return poly
-    rng = np.random.default_rng(seed)
     verts = poly.vertices.tolist()
     js = poly.arc_lengths.tolist()
     n = len(verts)
-    for _ in range(steps):
-        k = int(rng.integers(n))
-        eps = float(rng.uniform(-0.02, 0.02))
+    for k, eps in zip(*_walk_draws(seed, n, steps)):
         try:
             pk, pk1 = _slide_vertex(verts, k, eps)
             # vertices k-2 .. k+3 after the slide; arc k-1+i is at w[i + 1]

@@ -13,7 +13,8 @@ from reuleaux import (GeometryError, contact_points, from_vertices,
                       inradius_from_sector, random_polygon, regular,
                       sector_length_lower_bound, sectors)
 from reuleaux.polygon import (AdjacencyError, InvalidPolygon, VertexCountError,
-                              WidthError, polygon_from_json, polygon_to_json)
+                              WidthError, _walk_draws, polygon_from_json,
+                              polygon_to_json)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -179,6 +180,43 @@ class TestRandomWalk:
         # only one Reuleaux triangle exists, so the walk returns it unchanged
         p = random_polygon(1, 50, seed=3)
         assert np.max(np.abs(p.vertices - regular(1).vertices)) < 1e-12
+
+
+def numpy_draws(seed: int, n: int, steps: int) -> list[tuple[int, float]]:
+    rng = np.random.default_rng(seed)
+    return [(int(rng.integers(n)), float(rng.uniform(-0.02, 0.02)))
+            for _ in range(steps)]
+
+
+class TestWalkDraws:
+    def test_walk_arc_counts_match_numpy(self):
+        # 3,000 (seed, n) pairs over the walks' arc counts 5 .. 83
+        for seed in range(3000):
+            n = 5 + 2 * (seed % 40)
+            assert list(zip(*_walk_draws(seed, n, 12))) == \
+                numpy_draws(seed, n, 12), (seed, n)
+
+    def test_frequent_rejections_match_numpy(self):
+        # 2^32 mod n = 2^30 - 1, so a quarter of the 32-bit draws are
+        # rejected and redrawn; no walk's n comes near
+        n = 3 * 2**30 + 1
+        for seed in range(20):
+            assert list(zip(*_walk_draws(seed, n, 200))) == \
+                numpy_draws(seed, n, 200), seed
+
+    def test_draws_past_the_first_block_match_numpy(self):
+        # at n = 2^31 + 1 half the draws are rejected: seeds 62, 91, 99, 121
+        # and 165 reject often enough to read past their first block of words
+        n = 2**31 + 1
+        for seed in range(200):
+            assert list(zip(*_walk_draws(seed, n, 1))) == \
+                numpy_draws(seed, n, 1), seed
+
+    @pytest.mark.parametrize("n", [1, 2**32, 2**40])
+    def test_n_outside_the_32_bit_draw_refused(self, n):
+        # numpy draws nothing at n = 1 and 64-bit integers from 2^32 on
+        with pytest.raises(ValueError, match="2 <= n < 2\\*\\*32"):
+            _walk_draws(0, n, 1)
 
 
 class TestContacts:
