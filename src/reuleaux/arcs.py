@@ -142,6 +142,27 @@ def _mec_one_boundary(points, p):
     return c
 
 
+# how many of the points farthest from the centroid Welzl visits first
+_FAR_FIRST = 8
+
+
+def _far_first(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """pts with the _FAR_FIRST farthest from their centroid moved to the
+    front, farthest first (ties in input order), the rest in input order.
+
+    The far points usually carry the circle, so Welzl rarely restarts on
+    the rest: linear on sorted collinear points, where input order is
+    quadratic. All points farthest-first is quadratic again on nearly
+    cocircular sets, such as a slightly moved regular polygon.
+    """
+    xy = np.array(pts)
+    d = np.hypot(*(xy - xy.mean(axis=0)).T)
+    lead = np.argsort(-d, kind="stable")[:_FAR_FIRST].tolist()
+    skip = set(lead)
+    return [pts[i] for i in lead] + [p for i, p in enumerate(pts)
+                                     if i not in skip]
+
+
 def min_enclosing_circle(points: Iterable) -> tuple[float, float, float]:
     """The smallest circle holding every point, as (x, y, r)."""
     pts = [(float(p[0]), float(p[1])) for p in points]
@@ -149,6 +170,7 @@ def min_enclosing_circle(points: Iterable) -> tuple[float, float, float]:
         raise GeometryError("need at least one point")
     if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
         raise GeometryError("non-finite point")
+    pts = _far_first(pts)
     c = (*pts[0], 0.0)
     bound = _bound(c)
     for i, p in enumerate(pts):

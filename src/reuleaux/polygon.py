@@ -156,7 +156,7 @@ def from_vertices(points) -> ReuleauxPolygon:
         raise VertexCountError(f"need an odd number >= 3 of vertices, got {n}")
     if not np.all(np.isfinite(verts)):
         raise InvalidPolygon("non-finite vertex coordinates")
-    _check_neighbours(verts)  # before the MEC, slow on collinear runs
+    _check_neighbours(verts)  # the cheapest check goes first
     poly = _canonical(verts)
     _check_arcs(poly.arc_lengths, 0.0)
     far = _far_pair(poly.vertices)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -223,6 +224,27 @@ class TestMinEnclosingCircle:
             (bx, by), br = brute_mec(pts)
             assert abs(r - br) < 1e-9, trial
             assert math.hypot(cx - bx, cy - by) < 1e-7
+
+    def test_matches_brute_force_past_the_far_points(self):
+        # more points than the eight visited first, so some keep input order
+        import random
+        rng = random.Random(6)
+        for trial in range(10):
+            pts = [(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                   for _ in range(rng.randint(9, 20))]
+            cx, cy, r = min_enclosing_circle(pts)
+            (bx, by), br = brute_mec(pts)
+            assert abs(r - br) < 1e-9, trial
+            assert math.hypot(cx - bx, cy - by) < 1e-7
+
+    def test_sorted_collinear_points_are_fast(self):
+        # in input order Welzl restarts at each point of a sorted collinear
+        # run, quadratic in their number; the two ends, visited first,
+        # already hold every point
+        pts = [(float(i), 0.0) for i in range(20_001)]
+        t0 = time.perf_counter()
+        assert min_enclosing_circle(pts) == (10000.0, 0.0, 10000.0)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_translation_invariance(self):
         pts = [(0.0, 0.0), (1.0, 0.0), (0.3, 0.9)]

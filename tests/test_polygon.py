@@ -132,9 +132,8 @@ class TestFromVertices:
             from_vertices(regular(2).vertices[::-1])
 
     def test_collinear_run_rejected_fast(self):
-        # sorted collinear points are the slow case of the minimal enclosing
-        # circle; the neighbour test rejects them (at the wrap-around pair)
-        # before it runs
+        # the neighbour test, the cheapest check, rejects them at the
+        # wrap-around pair before the minimal enclosing circle runs
         pts = [(float(i), 0.0) for i in range(20_001)]
         t0 = time.perf_counter()
         with pytest.raises(AdjacencyError, match="vertices 20000 and 0"):
