@@ -17,8 +17,8 @@ from .cheeger import (CheegerSolution, bisect_root, cheeger_radius,
 from .minarea import (MinAreaShape, band_of, ell, min_area, min_area_inverse,
                       profile, regular_inradius)
 from .polygon import (ContactDeficitError, InvalidPolygon, ReuleauxPolygon,
-                      Sector, as_region, contact_points, from_vertices,
-                      inradius_from_sector, polygon_from_json,
+                      Sector, TooManyContactsError, as_region, contact_points,
+                      from_vertices, inradius_from_sector, polygon_from_json,
                       polygon_to_json, random_polygon, regular,
                       sector_length_lower_bound, sectors)
 

@@ -44,6 +44,15 @@ class ContactDeficitError(GeometryError):
     """Fewer than three usable incircle contacts."""
 
 
+class TooManyContactsError(GeometryError):
+    """More incircle contacts than the trio search takes."""
+
+
+# the most incircle contacts _choose_trio takes: it tries every trio,
+# C(64, 3) = 41,664 of them
+MAX_CONTACTS = 64
+
+
 def _angles_of(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # math.atan2, not np.arctan2, which differs in the last bit on some inputs
     # and would move arcs, contacts and trajectories; slices: np.roll is slow
@@ -379,6 +388,10 @@ def _choose_trio(contacts: list[tuple[int, float]]) -> list[tuple[int, float]]:
     Trios with any gap >= pi are infeasible (the incenter must lie in the
     convex hull of the trio). Ties broken by the sorted arc-index triple.
     """
+    if len(contacts) > MAX_CONTACTS:
+        raise TooManyContactsError(
+            f"{len(contacts)} incircle contacts; the trio search takes at "
+            f"most {MAX_CONTACTS}")
     best = None
     for trio in combinations(contacts, 3):
         ts = sorted(t for _, t in trio)
@@ -399,7 +412,9 @@ def sectors(poly: ReuleauxPolygon, tol: float = 1e-9) -> list[Sector]:
     """The three primary sectors of the canonical contact trio.
 
     Opposite sectors have the same length, so the three returned sectors
-    already carry all six lengths; their u values sum to pi.
+    already carry all six lengths; their u values sum to pi. Fewer than 3
+    contacts raise ContactDeficitError, more than MAX_CONTACTS
+    TooManyContactsError.
     """
     contacts = contact_points(poly, tol)
     if len(contacts) < 3:

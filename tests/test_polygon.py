@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from oracles import reuleaux_faults
-from reuleaux import (GeometryError, contact_points, from_vertices,
-                      inradius_from_sector, random_polygon, regular,
-                      sector_length_lower_bound, sectors)
+from reuleaux import (GeometryError, TooManyContactsError, contact_points,
+                      from_vertices, inradius_from_sector, random_polygon,
+                      regular, sector_length_lower_bound, sectors)
 from reuleaux.polygon import (AdjacencyError, InvalidPolygon, VertexCountError,
                               WidthError, _walk_draws, polygon_from_json,
                               polygon_to_json)
@@ -271,6 +271,15 @@ class TestSectors:
                 assert abs(inradius_from_sector(s) - p.inradius) < 1e-8
                 checked += 1
         assert checked >= 30
+
+    def test_too_many_contacts_refused(self):
+        # regular(40) touches its incircle on all 81 arcs: C(81, 3) trios
+        with pytest.raises(TooManyContactsError,
+                           match="81 incircle contacts; .* at most 64"):
+            sectors(regular(40))
+
+    def test_contact_cap_admits_63(self):
+        assert abs(sum(s.u for s in sectors(regular(31))) - math.pi) < 1e-9
 
     def test_degenerate_sector_raises(self):
         s = dataclasses.replace(sectors(regular(2))[0], u=0.0)
