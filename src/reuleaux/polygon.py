@@ -255,6 +255,7 @@ _U32 = 0xFFFF_FFFF
 
 
 def _raw_words(bitgen: np.random.PCG64, count: int):
+    # the generator's 64-bit words, drawn count at a time, without end
     while True:
         yield from bitgen.random_raw(count).tolist()
 
